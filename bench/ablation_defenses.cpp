@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
                                 profile.csv);
   table.header();
 
-  const std::vector<experiment::AdversarySpec::Kind> kinds = {
-      experiment::AdversarySpec::Kind::kAdmissionFlood,
-      experiment::AdversarySpec::Kind::kBruteForce};
+  const std::vector<adversary::PhaseKind> kinds = {adversary::PhaseKind::kAdmissionFlood,
+                                                   adversary::PhaseKind::kBruteForce};
 
   // Flatten the whole study — per ablation: one baseline (with the same
   // ablation, so friction isolates the attack) plus one campaign per attack
@@ -90,11 +89,10 @@ int main(int argc, char** argv) {
     grid.push_back(config);
     for (auto kind : kinds) {
       experiment::ScenarioConfig attack = config;
-      attack.adversary.kind = kind;
-      attack.adversary.defection = adversary::DefectionPoint::kNone;
-      attack.adversary.cadence.coverage = 1.0;
-      attack.adversary.cadence.attack_duration = attack.duration;
-      attack.adversary.cadence.recuperation = sim::SimTime::days(30);
+      attack.adversary = {{.kind = kind,
+                           .cadence = {.attack_duration = attack.duration,
+                                       .recuperation = sim::SimTime::days(30),
+                                       .coverage = 1.0}}};
       grid.push_back(attack);
     }
   }
@@ -106,9 +104,7 @@ int main(int argc, char** argv) {
     for (auto kind : kinds) {
       const experiment::RunResult& attacked = combined_results[block++];
       const auto rel = experiment::relative_metrics(attacked, baseline);
-      table.row({ablation.name,
-                 kind == experiment::AdversarySpec::Kind::kAdmissionFlood ? "admission_flood"
-                                                                          : "brute_force",
+      table.row({ablation.name, adversary::phase_kind_name(kind),
                  experiment::TableWriter::fixed(rel.friction, 2),
                  std::to_string(attacked.report.successful_polls),
                  std::to_string(attacked.report.inquorate_polls),

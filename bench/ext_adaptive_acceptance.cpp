@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
     config.params.adaptive_scale = 4.0;
     const auto baseline =
         experiment::combine_results(experiment::run_replicated(config, profile.seeds));
-    config.adversary.kind = experiment::AdversarySpec::Kind::kBruteForce;
-    config.adversary.defection = adversary::DefectionPoint::kNone;
+    config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
     const auto attacked =
         experiment::combine_results(experiment::run_replicated(config, profile.seeds));
     const auto rel = experiment::relative_metrics(attacked, baseline);

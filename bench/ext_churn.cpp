@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
       config.newcomer_count = static_cast<uint32_t>(cohort);
       config.newcomer_join_window = sim::SimTime::months(6);
       if (under_attack) {
-        config.adversary.kind = experiment::AdversarySpec::Kind::kAdmissionFlood;
-        config.adversary.cadence.coverage = 1.0;
-        config.adversary.cadence.attack_duration = config.duration;
-        config.adversary.cadence.recuperation = sim::SimTime::days(30);
+        config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                             .cadence = {.attack_duration = config.duration,
+                                         .recuperation = sim::SimTime::days(30),
+                                         .coverage = 1.0}}};
       }
       IntegrationProbe probe;
       probe.established = config.peer_count;

@@ -29,10 +29,8 @@ int main(int argc, char** argv) {
   experiment::print_preamble("Extension (§9): combined pipe-stoppage + brute-force attack",
                              profile);
 
-  experiment::ScenarioConfig base = experiment::base_config(profile);
-  base.adversary.cadence.attack_duration = sim::SimTime::days(args.real("attack-days", 60.0));
-  base.adversary.cadence.recuperation = sim::SimTime::days(30);
-  base.adversary.defection = adversary::DefectionPoint::kNone;
+  const experiment::ScenarioConfig base = experiment::base_config(profile);
+  const sim::SimTime attack_duration = sim::SimTime::days(args.real("attack-days", 60.0));
 
   const auto baseline =
       experiment::combine_results(experiment::run_replicated(base, profile.seeds));
@@ -42,11 +40,10 @@ int main(int argc, char** argv) {
                                 profile.csv);
   table.header();
 
-  const auto run_one = [&](experiment::AdversarySpec::Kind kind, double coverage,
+  const auto run_one = [&](const adversary::AdversaryPipeline& pipeline, double coverage,
                            const char* label) {
     experiment::ScenarioConfig config = base;
-    config.adversary.kind = kind;
-    config.adversary.cadence.coverage = coverage / 100.0;
+    config.adversary = pipeline;
     const auto attacked =
         experiment::combine_results(experiment::run_replicated(config, profile.seeds));
     const auto rel = experiment::relative_metrics(attacked, baseline);
@@ -57,10 +54,17 @@ int main(int argc, char** argv) {
                std::to_string(attacked.report.successful_polls)});
   };
 
+  const adversary::AdversaryPhase brute = {.kind = adversary::PhaseKind::kBruteForce};
   for (double coverage : args.reals("coverages", {30, 60, 100})) {
-    run_one(experiment::AdversarySpec::Kind::kPipeStoppage, coverage, "stoppage_only");
-    run_one(experiment::AdversarySpec::Kind::kBruteForce, coverage, "brute_only");
-    run_one(experiment::AdversarySpec::Kind::kCombined, coverage, "combined");
+    const adversary::AdversaryPhase stoppage = {
+        .kind = adversary::PhaseKind::kPipeStoppage,
+        .cadence = {.attack_duration = attack_duration,
+                    .recuperation = sim::SimTime::days(30),
+                    .coverage = coverage / 100.0}};
+    run_one({stoppage}, coverage, "stoppage_only");
+    run_one({brute}, coverage, "brute_only");
+    // The blackout installs first: phase order is part of the RNG stream.
+    run_one({stoppage, brute}, coverage, "combined");
   }
   std::printf(
       "# expectation: combined delay tracks stoppage_only, combined friction tracks\n"

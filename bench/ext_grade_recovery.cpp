@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
 
   {
     experiment::ScenarioConfig config = base;
-    config.adversary.kind = experiment::AdversarySpec::Kind::kBruteForce;
-    config.adversary.defection = adversary::DefectionPoint::kNone;
+    config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
     const auto attacked =
         experiment::combine_results(experiment::run_replicated(config, profile.seeds));
     const auto rel = experiment::relative_metrics(attacked, baseline);
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
   }
   {
     experiment::ScenarioConfig config = base;
-    config.adversary.kind = experiment::AdversarySpec::Kind::kGradeRecovery;
+    config.adversary = {{.kind = adversary::PhaseKind::kGradeRecovery}};
     const auto attacked =
         experiment::combine_results(experiment::run_replicated(config, profile.seeds));
     const auto rel = experiment::relative_metrics(attacked, baseline);

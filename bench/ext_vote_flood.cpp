@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   table.header();
 
   experiment::ScenarioConfig config = base;
-  config.adversary.kind = experiment::AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   const auto attacked =
       experiment::combine_results(experiment::run_replicated(config, profile.seeds));
   const auto rel = experiment::relative_metrics(attacked, baseline);

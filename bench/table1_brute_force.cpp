@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   std::vector<experiment::ScenarioConfig> attacks;
   for (adversary::DefectionPoint defection : defections) {
     experiment::ScenarioConfig config = base;
-    config.adversary.kind = experiment::AdversarySpec::Kind::kBruteForce;
-    config.adversary.defection = defection;
+    config.adversary = {{.kind = adversary::PhaseKind::kBruteForce, .defection = defection}};
     attacks.push_back(config);
   }
   const auto attacked_results = experiment::run_replicated_grid(attacks, profile.seeds);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   adversary::AdversaryPhase flood;
   flood.kind = adversary::PhaseKind::kVoteFlood;
   flood.minion_count = 64;
-  config.adversary.pipeline = {flood};
+  config.adversary = {flood};
   const experiment::RunResult programmatic = experiment::run_scenario(config);
 
   std::printf("Vote flood demo: %u peers, %u AU(s), %.1f simulated months\n\n", spec.peers,

@@ -23,10 +23,10 @@ int main() {
   config.seed = 11;
   config.enable_damage = false;
   // A year-long garbage-invitation flood against the whole consortium.
-  config.adversary.kind = experiment::AdversarySpec::Kind::kAdmissionFlood;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(360);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                       .cadence = {.attack_duration = sim::SimTime::days(360),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
 
   std::printf("Library consortium: 25 libraries, 2 journals, 1 simulated year\n");
   std::printf("Background: a Sybil adversary floods everyone with garbage invitations\n\n");

@@ -13,9 +13,10 @@
 // phase, in phase order, and schedules no events for phases whose window is
 // the whole run (start == stop == 0, the legacy shape). A single-phase
 // pipeline is therefore bit-identical to the hard-coded single-adversary
-// construction it replaced, and the canonical pipelines for the old
-// AdversarySpec kinds (experiment::canonical_pipeline) reproduce the golden
-// corpus byte-for-byte.
+// construction it replaced. A pipeline is the one way to describe an
+// adversary (experiment::ScenarioConfig::adversary). The golden corpus pins
+// single-phase pipelines byte for byte, and the campaign fixtures pin
+// multi-phase ones (tests/golden/).
 #ifndef LOCKSS_ADVERSARY_PIPELINE_HPP_
 #define LOCKSS_ADVERSARY_PIPELINE_HPP_
 
@@ -52,7 +53,7 @@ struct AdversaryPhase {
   PhaseKind kind = PhaseKind::kPipeStoppage;
   // On/off cadence; consumed by pipe stoppage and admission flood (the
   // other modules attack continuously while active).
-  AttackCadence cadence;
+  AttackCadence cadence = {};
   // Brute-force defection point (ignored by other kinds).
   DefectionPoint defection = DefectionPoint::kNone;
   // Activation window. start == 0 activates at scenario start without

@@ -88,21 +88,21 @@ double figure_metric(const std::string& metric, const experiment::RelativeMetric
   return rel.friction;
 }
 
-// The attrition-sweep CSV layout, byte-identical to bench/attrition_sweep.hpp:
-// rows = axis 0, one column per axis-1 value labelled "<v>%", access-failure
-// cells in %.2e and everything else in %.2f, plus the companion trace CSV
-// and gnuplot script. Each file is staged to <name>.tmp and atomically
-// renamed into place.
-bool write_figure(const CompiledCampaign& campaign, const CampaignOutcome& outcome,
-                  const RunOptions& options, std::vector<std::string>* files,
-                  std::string* error) {
+// The attrition-sweep CSV layout of Figures 3–8: rows = axis 0, one column
+// per axis-1 value labelled "<v>%", access-failure cells in %.2e and
+// everything else in %.2f, plus the companion trace CSV and gnuplot
+// script. Each file is staged to <name>.tmp and atomically renamed into
+// place.
+bool write_figure(const CompiledCampaign& campaign, const FigureOutput& figure,
+                  const CampaignOutcome& outcome, const RunOptions& options,
+                  std::vector<std::string>* files, std::string* error) {
   const Spec& spec = campaign.spec;
   const SweepAxis& rows = spec.axes[0];
   const SweepAxis& cols = spec.axes[1];
-  const std::string csv_path = join_path(options.out_dir, spec.figure.csv);
+  const std::string csv_path = join_path(options.out_dir, figure.csv);
   const std::string csv_tmp = csv_path + ".tmp";
 
-  std::vector<std::string> columns = {spec.figure.row_header};
+  std::vector<std::string> columns = {figure.row_header};
   for (double v : cols.values) {
     columns.push_back(experiment::TableWriter::fixed(v, 0) + "%");
   }
@@ -119,8 +119,8 @@ bool write_figure(const CompiledCampaign& campaign, const CampaignOutcome& outco
       for (size_t c = 0; c < cols.values.size(); ++c) {
         const experiment::RelativeMetrics rel =
             experiment::relative_metrics(outcome.cells[cell++], outcome.baseline);
-        const double value = figure_metric(spec.figure.metric, rel);
-        row.push_back(spec.figure.metric == "access_failure"
+        const double value = figure_metric(figure.metric, rel);
+        row.push_back(figure.metric == "access_failure"
                           ? experiment::TableWriter::scientific(value, 2)
                           : experiment::TableWriter::fixed(value, 2));
       }
@@ -148,17 +148,17 @@ bool write_figure(const CompiledCampaign& campaign, const CampaignOutcome& outco
   }
 
   analysis::GnuplotSpec plot;
-  plot.title = spec.figure.title;
+  plot.title = figure.title;
   // Reference the CSV by bare name: the script sits next to it, and the
   // rendered bytes stay a pure function of the spec (no out-dir leakage),
   // which the kill-resume bit-identity tests compare across directories.
-  plot.csv_path = spec.figure.csv;
-  plot.x_label = spec.figure.x_label;
-  plot.y_label = spec.figure.metric == "access_failure" ? "access_failure_probability"
-                 : spec.figure.metric == "delay_ratio"  ? "delay_ratio"
-                                                        : "coefficient_of_friction";
-  plot.log_x = spec.figure.log_x;
-  plot.log_y = spec.figure.log_y;
+  plot.csv_path = figure.csv;
+  plot.x_label = figure.x_label;
+  plot.y_label = figure.metric == "access_failure" ? "access_failure_probability"
+                 : figure.metric == "delay_ratio"  ? "delay_ratio"
+                                                   : "coefficient_of_friction";
+  plot.log_x = figure.log_x;
+  plot.log_y = figure.log_y;
   for (double v : cols.values) {
     plot.series.push_back(experiment::TableWriter::fixed(v, 0) + "% coverage");
   }
@@ -956,9 +956,11 @@ bool run_campaign(const CompiledCampaign& campaign, const RunOptions& options,
   }
 
   const bool baseline_usable = !spec.baseline || outcome->baseline_status.ok;
-  if (spec.figure.enabled && options.write_outputs && baseline_usable) {
-    if (!write_figure(campaign, *outcome, options, &outcome->files_written, error)) {
-      return false;
+  if (!spec.figures.empty() && options.write_outputs && baseline_usable) {
+    for (const FigureOutput& figure : spec.figures) {
+      if (!write_figure(campaign, figure, *outcome, options, &outcome->files_written, error)) {
+        return false;
+      }
     }
   } else if (!options.quiet) {
     for (size_t k = 0; k < campaign.cells.size(); ++k) {

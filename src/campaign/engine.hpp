@@ -13,8 +13,7 @@
 //                             pinnable, see tests/campaign_golden_test.cpp);
 //                             failed cells carry status/attempts/error
 //   <out_dir>/<cells>         long-form CSV, one row per cell
-//   <out_dir>/<figure.csv>    only when the spec has a figure output:
-//                             byte-identical to the hard-coded fig drivers'
+//   <out_dir>/<figure.csv>    one per figure output: the Figure 3–8 grid
 //                             CSV, plus the companion .trace.csv and .gp
 //
 // Every artifact is written via temp file + atomic rename, so a kill at

@@ -543,12 +543,12 @@ void apply_axis_value(const Spec& spec, const SweepAxis& axis, size_t index,
     // defection
     adversary::DefectionPoint point = adversary::DefectionPoint::kNone;
     parse_defection(axis.names[index], &point);
-    config->adversary.pipeline[axis.phase].defection = point;
+    config->adversary[axis.phase].defection = point;
     return;
   }
   const double v = axis.values[index];
   if (is_phase_axis(axis.param)) {
-    adversary::AdversaryPhase& phase = config->adversary.pipeline[axis.phase];
+    adversary::AdversaryPhase& phase = config->adversary[axis.phase];
     if (axis.param == "attack_days") {
       phase.cadence.attack_duration = sim::SimTime::days(v);
     } else if (axis.param == "recuperation_days") {
@@ -599,6 +599,53 @@ void apply_axis_value(const Spec& spec, const SweepAxis& axis, size_t index,
   } else if (const ProtocolParam* param = find_protocol_param(axis.param)) {
     param->apply(config->params, v);
   }
+}
+
+// One `outputs.figure` entry (the member holds one such object or an array
+// of them). Appends to spec->figures; the checks that need the sweep run
+// here too, so axes and baseline must already be parsed.
+bool parse_figure(const Json& json, const std::string& source, const std::string& prefix,
+                  Spec* spec, std::string* error) {
+  ObjectReader f(json, source, prefix, error);
+  FigureOutput figure;
+  if (!f.expect_object() || !f.string("metric", &figure.metric) ||
+      !f.string("row_header", &figure.row_header) || !f.string("title", &figure.title) ||
+      !f.string("x_label", &figure.x_label) || !f.boolean("log_x", &figure.log_x) ||
+      !f.boolean("log_y", &figure.log_y) || !f.string("csv", &figure.csv) || !f.finish()) {
+    return false;
+  }
+  if (figure.metric != "access_failure" && figure.metric != "delay_ratio" &&
+      figure.metric != "friction") {
+    return f.fail(json.line, "metric",
+                  "unknown metric '" + figure.metric +
+                      "' (expected access_failure | delay_ratio | friction)");
+  }
+  if (figure.csv.empty()) {
+    return f.fail(json.line, "csv", "required");
+  }
+  for (const FigureOutput& other : spec->figures) {
+    if (other.csv == figure.csv) {
+      return f.fail(json.line, "csv", "'" + figure.csv + "' is written by another figure");
+    }
+  }
+  if (figure.row_header.empty()) {
+    return f.fail(json.line, "row_header", "required");
+  }
+  if (spec->axes.size() != 2) {
+    return f.fail(json.line, "figure",
+                  "figure outputs need exactly 2 sweep axes (rows, columns); this "
+                  "campaign has " +
+                      std::to_string(spec->axes.size()));
+  }
+  if (spec->axes[0].categorical() || spec->axes[1].categorical()) {
+    return f.fail(json.line, "figure", "figure axes must be numeric");
+  }
+  if (!spec->baseline) {
+    return f.fail(json.line, "figure",
+                  "figure metrics are relative to the baseline; set baseline: true");
+  }
+  spec->figures.push_back(std::move(figure));
+  return true;
 }
 
 }  // namespace
@@ -1279,39 +1326,19 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
       return false;
     }
     if (const Json* figure = o.member("figure")) {
-      ObjectReader f(*figure, source_path, "outputs.figure", error);
-      out->figure.enabled = true;
-      if (!f.expect_object() || !f.string("metric", &out->figure.metric) ||
-          !f.string("row_header", &out->figure.row_header) ||
-          !f.string("title", &out->figure.title) || !f.string("x_label", &out->figure.x_label) ||
-          !f.boolean("log_x", &out->figure.log_x) || !f.boolean("log_y", &out->figure.log_y) ||
-          !f.string("csv", &out->figure.csv) || !f.finish()) {
+      if (figure->is_array()) {
+        if (figure->array_items.empty()) {
+          return o.fail(figure->line, "figure",
+                        "expected a figure object or a non-empty array of them");
+        }
+        for (size_t i = 0; i < figure->array_items.size(); ++i) {
+          if (!parse_figure(figure->array_items[i], source_path,
+                            "outputs.figure[" + std::to_string(i) + "]", out, error)) {
+            return false;
+          }
+        }
+      } else if (!parse_figure(*figure, source_path, "outputs.figure", out, error)) {
         return false;
-      }
-      if (out->figure.metric != "access_failure" && out->figure.metric != "delay_ratio" &&
-          out->figure.metric != "friction") {
-        return f.fail(figure->line, "metric",
-                      "unknown metric '" + out->figure.metric +
-                          "' (expected access_failure | delay_ratio | friction)");
-      }
-      if (out->figure.csv.empty()) {
-        return f.fail(figure->line, "csv", "required");
-      }
-      if (out->figure.row_header.empty()) {
-        return f.fail(figure->line, "row_header", "required");
-      }
-      if (out->axes.size() != 2) {
-        return f.fail(figure->line, "figure",
-                      "figure outputs need exactly 2 sweep axes (rows, columns); this "
-                      "campaign has " +
-                          std::to_string(out->axes.size()));
-      }
-      if (out->axes[0].categorical() || out->axes[1].categorical()) {
-        return f.fail(figure->line, "figure", "figure axes must be numeric");
-      }
-      if (!out->baseline) {
-        return f.fail(figure->line, "figure",
-                      "figure metrics are relative to the baseline; set baseline: true");
       }
     }
     if (!o.finish()) {
@@ -1395,7 +1422,7 @@ bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* erro
   for (size_t cell = 0; cell < cell_count; ++cell) {
     CompiledCell compiled;
     compiled.config = base;
-    compiled.config.adversary.pipeline = spec.pipeline;
+    compiled.config.adversary = spec.pipeline;
     std::string label;
     for (size_t a = 0; a < spec.axes.size(); ++a) {
       const SweepAxis& axis = spec.axes[a];
@@ -1409,15 +1436,14 @@ bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* erro
     // Re-validate: an axis can move a phase window or pool into an invalid
     // shape that the static pipeline validation could not see.
     const std::string pipeline_error = adversary::validate_pipeline(
-        compiled.config.adversary.pipeline,
-        compiled.config.peer_count + compiled.config.newcomer_count);
+        compiled.config.adversary, compiled.config.peer_count + compiled.config.newcomer_count);
     if (!pipeline_error.empty()) {
       *error = spec.source_path + ": cell " + compiled.label + ": " + pipeline_error;
       return false;
     }
     if (compiled.config.adversary_policy.enabled()) {
       const std::string policy_error = adversary::validate_policies(
-          compiled.config.adversary_policy, compiled.config.adversary.pipeline.size());
+          compiled.config.adversary_policy, compiled.config.adversary.size());
       if (!policy_error.empty()) {
         *error = spec.source_path + ": cell " + compiled.label + ": " + policy_error;
         return false;

@@ -1,11 +1,11 @@
 // Declarative campaign specs: data-driven scenario descriptions.
 //
-// A campaign file (campaigns/*.json) describes a whole experiment the way
-// the hard-coded fig/table drivers do in C++: a deployment (peers, AUs,
-// coverage, newcomers, duration), protocol/cost/damage overrides, an
-// adversary *pipeline* (ordered, windowed, composable phases — see
-// adversary/pipeline.hpp), sweep axes expanded into a grid, seed
-// replication, §6.3 layering, and trace/output settings. campaign::Spec is
+// A campaign file (campaigns/*.json) describes a whole experiment: a
+// deployment (peers, AUs, coverage, newcomers, duration),
+// protocol/cost/damage overrides, an adversary *pipeline* (ordered,
+// windowed, composable phases — see adversary/pipeline.hpp), sweep axes
+// expanded into a grid, seed replication, §6.3 layering, and trace/output
+// settings. campaign::Spec is
 // the validated in-memory form; compile_campaign() lowers it onto
 // experiment::ScenarioConfig cells that run through the parallel runner.
 //
@@ -46,11 +46,11 @@ struct SweepAxis {
   size_t size() const { return categorical() ? names.size() : values.size(); }
 };
 
-// Optional figure output reproducing the attrition-sweep CSV layout
-// byte-for-byte: rows = axis 0, one column per axis-1 value, cells holding
-// `metric` relative to the baseline.
+// A figure output in the attrition-sweep CSV layout: rows = axis 0, one
+// column per axis-1 value, cells holding `metric` relative to the
+// baseline. `outputs.figure` holds one such object or an array of them, so
+// one sweep writes every metric grid it feeds (Figures 3–5 are one sweep).
 struct FigureOutput {
-  bool enabled = false;
   std::string metric;      // access_failure | delay_ratio | friction
   std::string row_header;  // first CSV column name, e.g. "duration_days"
   std::string title;
@@ -151,7 +151,7 @@ struct Spec {
   // relative metrics. Required by figure outputs.
   bool baseline = true;
 
-  FigureOutput figure;
+  std::vector<FigureOutput> figures;  // `outputs.figure`, in file order
   std::string manifest_name;  // default: <name>.manifest.json
   std::string cells_name;     // default: <name>.cells.csv
 };

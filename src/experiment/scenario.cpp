@@ -103,52 +103,6 @@ bool sharding_supported(const ScenarioConfig& config) {
   return true;
 }
 
-adversary::AdversaryPipeline canonical_pipeline(const AdversarySpec& spec) {
-  adversary::AdversaryPipeline pipeline;
-  const auto phase = [&spec](adversary::PhaseKind kind) {
-    adversary::AdversaryPhase p;
-    p.kind = kind;
-    p.cadence = spec.cadence;
-    p.defection = spec.defection;
-    return p;
-  };
-  switch (spec.kind) {
-    case AdversarySpec::Kind::kNone:
-      break;
-    case AdversarySpec::Kind::kPipeStoppage:
-      pipeline.push_back(phase(adversary::PhaseKind::kPipeStoppage));
-      break;
-    case AdversarySpec::Kind::kAdmissionFlood:
-      pipeline.push_back(phase(adversary::PhaseKind::kAdmissionFlood));
-      break;
-    case AdversarySpec::Kind::kBruteForce:
-      pipeline.push_back(phase(adversary::PhaseKind::kBruteForce));
-      break;
-    case AdversarySpec::Kind::kGradeRecovery:
-      pipeline.push_back(phase(adversary::PhaseKind::kGradeRecovery));
-      break;
-    case AdversarySpec::Kind::kVoteFlood:
-      pipeline.push_back(phase(adversary::PhaseKind::kVoteFlood));
-      break;
-    case AdversarySpec::Kind::kCombined:
-      // §9 combined strategy: a network-level blackout over part of the
-      // population while the brute-force adversary drains the remainder at
-      // the application level. The blackout also severs the brute-force
-      // lanes into covered victims, so the effortful attack concentrates on
-      // whoever can still communicate. Pipe stoppage installs first — the
-      // ordering the old hard-coded switch used, now part of the canonical
-      // pipeline's bit-identity contract.
-      pipeline.push_back(phase(adversary::PhaseKind::kPipeStoppage));
-      pipeline.push_back(phase(adversary::PhaseKind::kBruteForce));
-      break;
-  }
-  return pipeline;
-}
-
-adversary::AdversaryPipeline effective_pipeline(const AdversarySpec& spec) {
-  return spec.pipeline.empty() ? canonical_pipeline(spec) : spec.pipeline;
-}
-
 namespace {
 
 // The one scenario body, serial and sharded: `shards` <= 1 runs the
@@ -179,8 +133,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   // The adversary policy engine exists only when there is both a policy
   // table and a pipeline to drive; it consumes no root split either way
   // (its RNG stream is a domain-separated hash of the seed).
-  const bool policy_enabled =
-      config.adversary_policy.enabled() && !effective_pipeline(config.adversary).empty();
+  const bool policy_enabled = config.adversary_policy.enabled() && !config.adversary.empty();
   sim::Rng churn_rng(0);
   sim::Rng operators_rng(0);
   dynamics::ChurnSchedule churn_schedule;
@@ -547,19 +500,16 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   }
 
   // --- Adversary --------------------------------------------------------------
-  // Every spec — legacy single enum or explicit multi-phase pipeline — is
-  // installed through the AdversaryFleet. Minions with fixed identity sets
-  // register like everyone else (their per-victim reputation entries then
-  // live in the dense slot arrays); the admission-flood adversary spoofs
-  // unbounded fresh ids and stays on the substrates' overflow path by
-  // design. The fleet consumes one root split per phase in phase order, so
-  // canonical single-kind pipelines reproduce the pre-pipeline RNG stream
-  // exactly (golden corpus pins this).
+  // The pipeline is installed through the AdversaryFleet. Minions with
+  // fixed identity sets register like everyone else (their per-victim
+  // reputation entries then live in the dense slot arrays); the
+  // admission-flood adversary spoofs unbounded fresh ids and stays on the
+  // substrates' overflow path by design. The fleet consumes one root split
+  // per phase in phase order (golden corpus pins the streams).
   std::vector<peer::Peer*> victim_ptrs;
   for (auto& p : peers) {
     victim_ptrs.push_back(p.get());
   }
-  const adversary::AdversaryPipeline pipeline = effective_pipeline(config.adversary);
   adversary::FleetEnvironment fleet_env;
   fleet_env.simulator = &simulator;
   fleet_env.network = &network;
@@ -570,7 +520,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   fleet_env.aus = aus;
   fleet_env.params = &config.params;
   fleet_env.costs = &config.costs;
-  adversary::AdversaryFleet fleet(fleet_env, pipeline, root);
+  adversary::AdversaryFleet fleet(fleet_env, config.adversary, root);
   fleet.start();
   if (policy_engine != nullptr) {
     policy_engine->arm(&fleet, config.peer_count);

@@ -2,7 +2,7 @@
 //
 // A ScenarioConfig describes one simulated deployment (§6.3): a population
 // of loyal peers preserving a collection of AUs for a simulated span, plus
-// at most one adversary. run_scenario() builds everything, runs the
+// an adversary pipeline. run_scenario() builds everything, runs the
 // discrete-event simulation, and returns the §6.1 metrics together with raw
 // counters.
 //
@@ -20,8 +20,6 @@
 #include <functional>
 #include <vector>
 
-#include "adversary/attack_schedule.hpp"
-#include "adversary/brute_force.hpp"
 #include "adversary/pipeline.hpp"
 #include "adversary/policy.hpp"
 #include "crypto/cost_model.hpp"
@@ -38,38 +36,6 @@
 #include "storage/damage.hpp"
 
 namespace lockss::experiment {
-
-struct AdversarySpec {
-  enum class Kind {
-    kNone,
-    kPipeStoppage,    // §7.2 (Figures 3–5)
-    kAdmissionFlood,  // §7.3 (Figures 6–8)
-    kBruteForce,      // §7.4 (Table 1)
-    kGradeRecovery,   // §7.4 closing variant (extension)
-    kVoteFlood,       // §5.1 rate-limitation adversary (extension)
-    kCombined,        // §9 combined strategy: pipe stoppage + brute force
-  };
-  Kind kind = Kind::kNone;
-  adversary::AttackCadence cadence;  // pipe stoppage / admission flood / combined
-  adversary::DefectionPoint defection = adversary::DefectionPoint::kNone;  // brute force/combined
-  // Composable multi-adversary pipeline (§9). When non-empty it takes
-  // precedence over `kind` and is installed verbatim; when empty, `kind` is
-  // expanded via canonical_pipeline() below. Every run — legacy enum or
-  // explicit pipeline — therefore flows through adversary::AdversaryFleet.
-  adversary::AdversaryPipeline pipeline;
-};
-
-// The canonical pipeline for a legacy single-enum spec: one phase per kind
-// (two for kCombined: pipe stoppage then brute force, the §9 ordering),
-// carrying the spec's cadence and defection point. Bit-identical to the old
-// hard-coded adversary switch by the fleet's determinism contract; the
-// equivalence is property-tested (tests/adversary_pipeline_test.cpp) and
-// pinned by the golden corpus.
-adversary::AdversaryPipeline canonical_pipeline(const AdversarySpec& spec);
-
-// The pipeline a ScenarioConfig will actually install: spec.pipeline when
-// non-empty, else canonical_pipeline(spec).
-adversary::AdversaryPipeline effective_pipeline(const AdversarySpec& spec);
 
 struct ScenarioConfig {
   uint32_t peer_count = 100;   // §6.3: "a constant loyal peer population of 100"
@@ -96,7 +62,12 @@ struct ScenarioConfig {
   crypto::CostModel costs;
   storage::DamageConfig damage;
   bool enable_damage = true;
-  AdversarySpec adversary;
+  // The adversary (adversary/pipeline.hpp): ordered, windowed attack
+  // phases installed through one AdversaryFleet. Empty = an undisturbed
+  // deployment. The §9 combined strategy is two phases, pipe stoppage then
+  // brute force; the order is part of the RNG stream (one root split per
+  // phase, in phase order).
+  adversary::AdversaryPipeline adversary;
   // Adaptive adversary policies (adversary/policy.hpp; docs/adversaries.md):
   // deterministic trigger→action rules driving the installed pipeline. The
   // engine's RNG is a domain-separated hash of `seed` — never a root split —

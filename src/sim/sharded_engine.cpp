@@ -118,23 +118,27 @@ void ShardedEngine::dispatch_window(SimTime w_end) {
   double stall_seconds = 0.0;
   uint32_t active_count = 0;
   uint32_t last_active = 0;
-  {
-    // Written under the lock: sleeping workers read active_ in their wait
-    // predicate (any spurious wake-up evaluates it).
+  for (uint32_t s = 0; s < plan_.shards; ++s) {
+    shards_[s].runs = shards_[s].sim->next_event_time() < w_end;
+    if (shards_[s].runs) {
+      ++active_count;
+      last_active = s;
+    }
+  }
+  const bool parallel = active_count > 1 && !threads_.empty();
+  if (parallel) {
+    // Publish the window to the workers together with its epoch, under the
+    // lock. active_ changes only with an epoch bump, so a worker whose
+    // wake-up from an earlier epoch is still pending can never mistake a
+    // later single-shard window (run inline below, on the coordinator) for
+    // work of its own.
     std::lock_guard<std::mutex> lock(mu_);
     for (uint32_t s = 0; s < plan_.shards; ++s) {
-      const bool runs = shards_[s].sim->next_event_time() < w_end;
-      active_[s] = runs ? 1 : 0;
-      if (runs) {
-        ++active_count;
-        last_active = s;
-      }
+      active_[s] = shards_[s].runs ? 1 : 0;
     }
-    if (active_count > 1 && !threads_.empty()) {
-      window_end_ = w_end;
-      remaining_ = active_count;
-      ++epoch_;
-    }
+    window_end_ = w_end;
+    remaining_ = active_count;
+    ++epoch_;
   }
   // Reporting only — a detached profile costs one branch per window.
   const auto record_window = [&] {
@@ -148,10 +152,10 @@ void ShardedEngine::dispatch_window(SimTime w_end) {
     profile_->window_exec_seconds += window_watch.elapsed_seconds() - stall_seconds;
     profile_->barrier_stall_seconds += stall_seconds;
   };
-  if (active_count > 1 && !threads_.empty()) {
+  if (parallel) {
     cv_work_.notify_all();
     for (uint32_t s = 0; s < plan_.shards; ++s) {
-      if (!active_[s]) {
+      if (!shards_[s].runs) {
         shards_[s].sim->run_until(w_end);
       }
     }
@@ -163,7 +167,7 @@ void ShardedEngine::dispatch_window(SimTime w_end) {
     return;
   }
   for (uint32_t s = 0; s < plan_.shards; ++s) {
-    if (active_[s] && s == last_active) {
+    if (shards_[s].runs && s == last_active) {
       ContextScope scope(this, s);
       shards_[s].sim->run_until(w_end);
     } else {

@@ -117,6 +117,9 @@ class ShardedEngine {
     // Cross-context posts made by this shard's window execution; single
     // writer (the shard), drained by the coordinator at the barrier.
     std::vector<PostedEvent> outbox;
+    // Whether the current window has events for this shard; coordinator
+    // only (workers read the published copy in active_).
+    bool runs = false;
   };
 
   Simulator& sim_for_context(uint32_t context) {
@@ -143,7 +146,7 @@ class ShardedEngine {
   std::condition_variable cv_done_;
   uint64_t epoch_ = 0;
   SimTime window_end_;
-  std::vector<uint8_t> active_;  // per shard: run this window?
+  std::vector<uint8_t> active_;  // per shard: run epoch_'s window?
   uint32_t remaining_ = 0;
   bool shutdown_ = false;
 };

@@ -16,16 +16,24 @@ ScenarioConfig combined_config() {
   config.duration = sim::SimTime::years(1);
   config.seed = 17;
   config.enable_damage = false;
-  config.adversary.cadence.coverage = 0.5;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(60);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
-  config.adversary.defection = adversary::DefectionPoint::kNone;
   return config;
+}
+
+// 60-day blackouts over half the population, 30 days apart.
+adversary::AdversaryPhase stoppage() {
+  return {.kind = adversary::PhaseKind::kPipeStoppage,
+          .cadence = {.attack_duration = sim::SimTime::days(60),
+                      .recuperation = sim::SimTime::days(30),
+                      .coverage = 0.5}};
+}
+
+adversary::AdversaryPhase brute() {
+  return {.kind = adversary::PhaseKind::kBruteForce, .defection = adversary::DefectionPoint::kNone};
 }
 
 TEST(CombinedAdversaryTest, BothAttackVectorsAreActive) {
   ScenarioConfig config = combined_config();
-  config.adversary.kind = AdversarySpec::Kind::kCombined;
+  config.adversary = {stoppage(), brute()};
   const RunResult combined = run_scenario(config);
   // Network-level suppression happened...
   EXPECT_GT(combined.messages_filtered, 0u);
@@ -37,13 +45,13 @@ TEST(CombinedAdversaryTest, BothAttackVectorsAreActive) {
 TEST(CombinedAdversaryTest, HarmAtLeastMatchesEachComponent) {
   ScenarioConfig config = combined_config();
 
-  config.adversary.kind = AdversarySpec::Kind::kCombined;
+  config.adversary = {stoppage(), brute()};
   const RunResult combined = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
+  config.adversary = {stoppage()};
   const RunResult stoppage_only = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {brute()};
   const RunResult brute_only = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
 
   const RelativeMetrics rel_combined = relative_metrics(combined, baseline);
@@ -68,9 +76,9 @@ TEST(CombinedAdversaryTest, SystemStillRecoversBetweenPhases) {
   // Even under the combined attack, the 30-day recuperations let polls
   // through: the year cannot end with near-zero successes at 50% coverage.
   ScenarioConfig config = combined_config();
-  config.adversary.kind = AdversarySpec::Kind::kCombined;
+  config.adversary = {stoppage(), brute()};
   const RunResult combined = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   EXPECT_GT(combined.report.successful_polls, baseline.report.successful_polls / 5);
   EXPECT_EQ(combined.report.alarms, 0u);

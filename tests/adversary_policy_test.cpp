@@ -64,7 +64,7 @@ ScenarioConfig hostile_mix() {
   flood.minion_count = 60;
   flood.minion_id_base = 2000;
 
-  config.adversary.pipeline = {stoppage, brute, flood};
+  config.adversary = {stoppage, brute, flood};
   return config;
 }
 
@@ -290,8 +290,8 @@ TEST(AdversaryPolicyTest, FiftyRandomPolicyConfigsTearDownCleanly) {
     // Smaller deployment per fuzz iteration keeps 50 runs in CI budget.
     config.peer_count = 12;
     config.duration = sim::SimTime::days(200);
-    config.adversary.pipeline[1].minion_count = 24;
-    config.adversary.pipeline[2].minion_count = 16;
+    config.adversary[1].minion_count = 24;
+    config.adversary[2].minion_count = 16;
     config.seed = 9000 + static_cast<uint64_t>(i);
     config.churn.leave_rate_per_peer_year = fuzz.uniform() * 3.0;
     config.churn.crash_rate_per_peer_year = fuzz.uniform() * 1.0;
@@ -310,12 +310,9 @@ TEST(AdversaryPolicyTest, FiftyRandomPolicyConfigsTearDownCleanly) {
     const size_t rules = 1 + fuzz.index(4);
     config.adversary_policy.policies.clear();
     for (size_t r = 0; r < rules; ++r) {
-      config.adversary_policy.policies.push_back(
-          random_rule(fuzz, config.adversary.pipeline.size()));
+      config.adversary_policy.policies.push_back(random_rule(fuzz, config.adversary.size()));
     }
-    ASSERT_EQ(adversary::validate_policies(config.adversary_policy,
-                                           config.adversary.pipeline.size()),
-              "");
+    ASSERT_EQ(adversary::validate_policies(config.adversary_policy, config.adversary.size()), "");
     const RunResult result = run_scenario(config);
     expect_clean_accounting(result, "policy fuzz config " + std::to_string(i));
     for (uint64_t count : result.policy_actions) {

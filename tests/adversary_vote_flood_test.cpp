@@ -22,9 +22,9 @@ ScenarioConfig flood_config() {
 
 TEST(VoteFloodIntegrationTest, FloodBuysNoFriction) {
   ScenarioConfig config = flood_config();
-  config.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
 
   // The flood really happened — hundreds of thousands of bogus votes.
@@ -45,9 +45,9 @@ TEST(VoteFloodIntegrationTest, ReplayedLivePollIdsAreStillRejected) {
   // them, so tallies stay clean and polls conclude exactly as in baseline.
   ScenarioConfig config = flood_config();
   config.seed = 32;
-  config.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   EXPECT_EQ(attacked.report.successful_polls, baseline.report.successful_polls);
   EXPECT_EQ(attacked.report.inquorate_polls, baseline.report.inquorate_polls);
@@ -59,7 +59,7 @@ TEST(VoteFloodIntegrationTest, AdversaryEffortIsNearZero) {
   // cost nothing) — but it buys him nothing, which is the point: the rate
   // limits remove the target, not the attacker's budget.
   ScenarioConfig config = flood_config();
-  config.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   const RunResult attacked = run_scenario(config);
   EXPECT_LT(attacked.report.adversary_effort_seconds, attacked.report.loyal_effort_seconds * 0.01);
 }

@@ -1,6 +1,6 @@
 // Golden campaign manifest: runs the shipped campaigns/smoke.json (a
-// windowed pipe stoppage over a continuous vote flood — phases the old
-// single-enum AdversarySpec could not express) and compares the rendered
+// windowed pipe stoppage over a continuous vote flood — two concurrent
+// phases, one with an activation window) and compares the rendered
 // manifest byte-for-byte against a committed fixture. This extends the
 // golden corpus to the campaign engine end-to-end: JSON parsing, grid
 // compilation, multi-phase fleet installation with activation windows, and

@@ -216,6 +216,25 @@ TEST(CampaignSpecTest, RejectionDiagnosticsCarryLineAndField) {
        "  \"outputs\": { \"figure\": { \"metric\": \"friction\", \"row_header\": \"d\","
        " \"csv\": \"x.csv\" } }\n}",
        "r.json:4", "exactly 2 sweep axes"},
+      // --- outputs.figure as an array ------------------------------------
+      {"{\n  \"name\": \"x\",\n  \"outputs\": { \"figure\": [] }\n}", "r.json:3",
+       "non-empty array"},
+      {"{\n  \"name\": \"x\",\n  \"sweep\": [\n"
+       "    { \"param\": \"peers\", \"values\": [10, 20] },\n"
+       "    { \"param\": \"aus\", \"values\": [1, 2] }\n  ],\n"
+       "  \"outputs\": { \"figure\": [\n"
+       "    { \"metric\": \"friction\", \"row_header\": \"d\", \"csv\": \"a.csv\" },\n"
+       "    { \"metric\": \"afp\", \"row_header\": \"d\", \"csv\": \"b.csv\" }\n"
+       "  ] }\n}",
+       "r.json:9", "outputs.figure[1].metric: unknown metric"},
+      {"{\n  \"name\": \"x\",\n  \"sweep\": [\n"
+       "    { \"param\": \"peers\", \"values\": [10, 20] },\n"
+       "    { \"param\": \"aus\", \"values\": [1, 2] }\n  ],\n"
+       "  \"outputs\": { \"figure\": [\n"
+       "    { \"metric\": \"friction\", \"row_header\": \"d\", \"csv\": \"a.csv\" },\n"
+       "    { \"metric\": \"delay_ratio\", \"row_header\": \"d\", \"csv\": \"a.csv\" }\n"
+       "  ] }\n}",
+       "r.json:9", "written by another figure"},
       // --- dynamics section ---------------------------------------------
       {"{\n  \"name\": \"x\",\n  \"dynamics\": {\n    \"churn\": 1\n  }\n}", "r.json:4",
        "unknown member"},
@@ -759,7 +778,7 @@ TEST(CampaignSpecFuzzTest, GeneratedValidSpecsSurviveWriteParseCompile) {
     EXPECT_DOUBLE_EQ(compiled.base.churn.leave_rate_per_peer_year, g.churn_leave_rate);
     EXPECT_EQ(compiled.base.operators.policies.size(), g.policies);
     for (const CompiledCell& cell : compiled.cells) {
-      EXPECT_EQ(cell.config.adversary.pipeline.size(), g.phases);
+      EXPECT_EQ(cell.config.adversary.size(), g.phases);
     }
   }
 }
@@ -829,7 +848,7 @@ TEST(CampaignCompileTest, ExpandsRowMajorGridAndAppliesAxes) {
   EXPECT_EQ(compiled.base.peer_count, 20u);
   EXPECT_EQ(compiled.base.params.quorum, 5u);
   EXPECT_TRUE(compiled.base.params.adaptive_acceptance);
-  EXPECT_TRUE(compiled.base.adversary.pipeline.empty());  // baseline is adversary-free
+  EXPECT_TRUE(compiled.base.adversary.empty());  // baseline is adversary-free
 
   // 2 x 2 grid, first axis outermost, labels joined in axis order.
   ASSERT_EQ(compiled.cells.size(), 4u);
@@ -837,14 +856,11 @@ TEST(CampaignCompileTest, ExpandsRowMajorGridAndAppliesAxes) {
   EXPECT_EQ(compiled.cells[1].label, "d10_NONE");
   EXPECT_EQ(compiled.cells[2].label, "d20_INTRO");
   EXPECT_EQ(compiled.cells[3].label, "d20_NONE");
-  EXPECT_DOUBLE_EQ(
-      compiled.cells[1].config.adversary.pipeline[0].cadence.attack_duration.to_days(), 10.0);
-  EXPECT_EQ(compiled.cells[1].config.adversary.pipeline[1].defection,
-            adversary::DefectionPoint::kNone);
-  EXPECT_EQ(compiled.cells[2].config.adversary.pipeline[1].defection,
-            adversary::DefectionPoint::kIntro);
+  EXPECT_DOUBLE_EQ(compiled.cells[1].config.adversary[0].cadence.attack_duration.to_days(), 10.0);
+  EXPECT_EQ(compiled.cells[1].config.adversary[1].defection, adversary::DefectionPoint::kNone);
+  EXPECT_EQ(compiled.cells[2].config.adversary[1].defection, adversary::DefectionPoint::kIntro);
   // Non-swept phase fields survive expansion.
-  EXPECT_DOUBLE_EQ(compiled.cells[3].config.adversary.pipeline[0].stop.to_days(), 120.0);
+  EXPECT_DOUBLE_EQ(compiled.cells[3].config.adversary[0].stop.to_days(), 120.0);
 }
 
 TEST(CampaignCompileTest, NoAxesYieldsSingleCell) {
@@ -856,7 +872,7 @@ TEST(CampaignCompileTest, NoAxesYieldsSingleCell) {
   ASSERT_TRUE(compile_campaign(spec, &compiled, &error)) << error;
   ASSERT_EQ(compiled.cells.size(), 1u);
   EXPECT_EQ(compiled.cells[0].label, "cell");
-  ASSERT_EQ(compiled.cells[0].config.adversary.pipeline.size(), 1u);
+  ASSERT_EQ(compiled.cells[0].config.adversary.size(), 1u);
 }
 
 }  // namespace

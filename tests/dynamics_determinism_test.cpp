@@ -376,7 +376,7 @@ TEST(DynamicsDeterminismTest, ChurnGridBitIdenticalAcross1And2And8Workers) {
     grid.push_back(regional);
 
     experiment::ScenarioConfig attacked = dynamic_config(seed);
-    attacked.adversary.kind = experiment::AdversarySpec::Kind::kBruteForce;
+    attacked.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
     attacked.operators.detection_latency = sim::SimTime::days(2);
     attacked.operators.policies.push_back(
         {dynamics::OperatorTrigger::kAlarm, dynamics::OperatorAction::kAuRecrawl, 1.0});

@@ -109,6 +109,9 @@ TEST(BaseConfigTest, ReducedProfileDeclaresItsInflationHonestly) {
   profile.aus = 6;
   profile.years = 2.0;
   const ScenarioConfig config = base_config(profile);
+  // One disk per peer, 0.6 disk-years between failures.
+  EXPECT_DOUBLE_EQ(config.damage.mean_disk_years_between_failures, 0.6);
+  EXPECT_DOUBLE_EQ(config.damage.aus_per_disk, 6.0);
   // The inflation factor must equal the actual ratio of configured per-AU
   // damage rates — the preamble's "~Nx" claim is load-bearing for
   // EXPERIMENTS.md.

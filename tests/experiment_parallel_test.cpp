@@ -85,13 +85,13 @@ TEST(ParallelRunnerTest, OneWorkerMatchesManyWorkersBitExactly) {
   for (uint64_t seed = 1; seed <= 2; ++seed) {
     grid.push_back(small_config(seed));
     ScenarioConfig pipe = small_config(seed);
-    pipe.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-    pipe.adversary.cadence.attack_duration = sim::SimTime::days(10);
-    pipe.adversary.cadence.recuperation = sim::SimTime::days(5);
-    pipe.adversary.cadence.coverage = 0.5;
+    pipe.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(10),
+                                   .recuperation = sim::SimTime::days(5),
+                                   .coverage = 0.5}}};
     grid.push_back(pipe);
     ScenarioConfig brute = small_config(seed);
-    brute.adversary.kind = AdversarySpec::Kind::kBruteForce;
+    brute.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
     grid.push_back(brute);
   }
 
@@ -118,23 +118,24 @@ TEST(ParallelRunnerTest, AdversaryGridsBitIdenticalAcross1And2And8Workers) {
   std::vector<ScenarioConfig> grid;
   for (uint64_t seed = 3; seed <= 4; ++seed) {
     ScenarioConfig admission = small_config(seed);
-    admission.adversary.kind = AdversarySpec::Kind::kAdmissionFlood;
-    admission.adversary.cadence.attack_duration = sim::SimTime::days(20);
-    admission.adversary.cadence.recuperation = sim::SimTime::days(10);
-    admission.adversary.cadence.coverage = 1.0;
+    admission.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                            .cadence = {.attack_duration = sim::SimTime::days(20),
+                                        .recuperation = sim::SimTime::days(10),
+                                        .coverage = 1.0}}};
     grid.push_back(admission);
     ScenarioConfig vote_flood = small_config(seed);
-    vote_flood.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+    vote_flood.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
     grid.push_back(vote_flood);
     ScenarioConfig churn = small_config(seed);
     churn.newcomer_count = 3;
     churn.newcomer_join_window = sim::SimTime::days(200);
     grid.push_back(churn);
     ScenarioConfig combined = small_config(seed);
-    combined.adversary.kind = AdversarySpec::Kind::kCombined;
-    combined.adversary.cadence.attack_duration = sim::SimTime::days(15);
-    combined.adversary.cadence.recuperation = sim::SimTime::days(15);
-    combined.adversary.cadence.coverage = 0.4;
+    combined.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                           .cadence = {.attack_duration = sim::SimTime::days(15),
+                                       .recuperation = sim::SimTime::days(15),
+                                       .coverage = 0.4}},
+                          {.kind = adversary::PhaseKind::kBruteForce}};
     grid.push_back(combined);
   }
   for (ScenarioConfig& config : grid) {
@@ -169,13 +170,13 @@ TEST(ParallelRunnerTest, LayeredCampaignGridBitIdenticalSerialVsParallel) {
   std::vector<ScenarioConfig> campaigns;
   campaigns.push_back(small_config(21));
   ScenarioConfig brute = small_config(22);
-  brute.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  brute.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
   campaigns.push_back(brute);
   ScenarioConfig pipe = small_config(23);
-  pipe.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  pipe.adversary.cadence.attack_duration = sim::SimTime::days(10);
-  pipe.adversary.cadence.recuperation = sim::SimTime::days(5);
-  pipe.adversary.cadence.coverage = 0.5;
+  pipe.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                     .cadence = {.attack_duration = sim::SimTime::days(10),
+                                 .recuperation = sim::SimTime::days(5),
+                                 .coverage = 0.5}}};
   campaigns.push_back(pipe);
 
   constexpr uint32_t kLayers = 3;

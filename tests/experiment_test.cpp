@@ -1,80 +1,15 @@
-// Unit tests for the experiment harness plumbing: CLI parsing, aggregation
-// math, relative metrics, and table rendering.
+// Unit tests for the experiment harness plumbing: aggregation math,
+// relative metrics, and table rendering (CLI parsing lives in
+// experiment_cli_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "experiment/aggregate.hpp"
-#include "experiment/cli.hpp"
 #include "experiment/table.hpp"
 
 namespace lockss::experiment {
 namespace {
-
-CliArgs make_args(std::vector<const char*> argv) {
-  argv.insert(argv.begin(), "prog");
-  return CliArgs(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
-}
-
-TEST(CliArgsTest, FlagsAndValues) {
-  const CliArgs args = make_args({"--paper", "--peers", "42", "--csv", "out.csv"});
-  EXPECT_TRUE(args.flag("paper"));
-  EXPECT_FALSE(args.flag("quick"));
-  EXPECT_EQ(args.integer("peers", 7), 42);
-  EXPECT_EQ(args.integer("aus", 7), 7);
-  EXPECT_EQ(args.text("csv", ""), "out.csv");
-}
-
-TEST(CliArgsTest, RealListsParse) {
-  const CliArgs args = make_args({"--coverages", "10,40,70,100"});
-  const auto values = args.reals("coverages", {});
-  ASSERT_EQ(values.size(), 4u);
-  EXPECT_DOUBLE_EQ(values[0], 10);
-  EXPECT_DOUBLE_EQ(values[3], 100);
-  // Fallback applies when absent.
-  EXPECT_EQ(args.reals("durations", {1, 2}).size(), 2u);
-}
-
-TEST(CliArgsTest, ProfileDefaultsAndPaperMode) {
-  const CliArgs quick = make_args({});
-  const BenchProfile qp = resolve_profile(quick, 60, 6, 2.0, 1);
-  EXPECT_EQ(qp.peers, 60u);
-  EXPECT_EQ(qp.aus, 6u);
-  EXPECT_FALSE(qp.paper);
-
-  const CliArgs paper = make_args({"--paper"});
-  const BenchProfile pp = resolve_profile(paper, 60, 6, 2.0, 1);
-  EXPECT_EQ(pp.peers, 100u);   // §6.3 population
-  EXPECT_EQ(pp.aus, 50u);      // §6.3 collection
-  EXPECT_EQ(pp.seeds, 3u);     // §6.3 "3 runs per data point"
-  EXPECT_DOUBLE_EQ(pp.years, 2.0);
-  EXPECT_TRUE(pp.paper);
-}
-
-TEST(CliArgsTest, ExplicitOverridesBeatPaperMode) {
-  const CliArgs args = make_args({"--paper", "--peers", "10"});
-  const BenchProfile profile = resolve_profile(args, 60, 6, 2.0, 1);
-  EXPECT_EQ(profile.peers, 10u);
-  EXPECT_EQ(profile.aus, 50u);
-}
-
-TEST(BaseConfigTest, PaperDamageRatesExact) {
-  CliArgs args = make_args({"--paper"});
-  const BenchProfile profile = resolve_profile(args, 60, 6, 2.0, 1);
-  const ScenarioConfig config = base_config(profile);
-  EXPECT_DOUBLE_EQ(config.damage.mean_disk_years_between_failures, 5.0);
-  EXPECT_DOUBLE_EQ(config.damage.aus_per_disk, 50.0);
-  EXPECT_DOUBLE_EQ(damage_rate_inflation(profile), 1.0);
-}
-
-TEST(BaseConfigTest, QuickDamageInflationReported) {
-  CliArgs args = make_args({});
-  const BenchProfile profile = resolve_profile(args, 60, 6, 2.0, 1);
-  const double inflation = damage_rate_inflation(profile);
-  EXPECT_GT(inflation, 1.0);
-  // Rate per AU-year: quick = 1/(0.6*6); paper = 1/250.
-  EXPECT_NEAR(inflation, (1.0 / (0.6 * 6)) * 250.0, 1e-9);
-}
 
 TEST(AggregateTest, MeanMinMax) {
   const Aggregate agg = aggregate({3.0, 1.0, 2.0});

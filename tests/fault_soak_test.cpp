@@ -37,10 +37,10 @@ ScenarioConfig soak_base() {
   config.churn.mean_downtime_days = 7.0;
   config.churn.arrival_rate_per_year = 2.0;
   // ...and one adversary stresses the invitation path while links flap.
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(20);
-  config.adversary.cadence.recuperation = sim::SimTime::days(25);
-  config.adversary.cadence.coverage = 0.5;
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(20),
+                                   .recuperation = sim::SimTime::days(25),
+                                   .coverage = 0.5}}};
   return config;
 }
 

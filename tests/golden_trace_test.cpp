@@ -223,25 +223,25 @@ TEST(GoldenTraceTest, Baseline) {
 
 TEST(GoldenTraceTest, PipeStoppage) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(30);
-  config.adversary.cadence.recuperation = sim::SimTime::days(15);
-  config.adversary.cadence.coverage = 0.5;
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(30),
+                                   .recuperation = sim::SimTime::days(15),
+                                   .coverage = 0.5}}};
   check_golden("pipe_stoppage", run_scenario(config));
 }
 
 TEST(GoldenTraceTest, AdmissionFlood) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kAdmissionFlood;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(20);
-  config.adversary.cadence.recuperation = sim::SimTime::days(20);
-  config.adversary.cadence.coverage = 1.0;
+  config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                       .cadence = {.attack_duration = sim::SimTime::days(20),
+                                   .recuperation = sim::SimTime::days(20),
+                                   .coverage = 1.0}}};
   check_golden("admission_flood", run_scenario(config));
 }
 
 TEST(GoldenTraceTest, VoteFlood) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   check_golden("vote_flood", run_scenario(config));
 }
 
@@ -275,7 +275,7 @@ TEST(GoldenTraceTest, RegionalOutage) {
   // a brute-force adversary: pins the outage merge logic, the offline link
   // filter, and publisher reinstalls interacting with the damage integral.
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
   config.churn.regions = 3;
   config.churn.regional_outage_rate_per_year = 3.0;
   config.churn.regional_outage_days = 6.0;
@@ -317,7 +317,7 @@ TEST(GoldenTraceTest, LayeredBruteForce) {
   // §6.3 layering methodology under the §7.4 adversary: two layers whose
   // schedules thread through, combined into one deployment-level result.
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
   const std::vector<RunResult> layers = run_layered(config, 2);
   ASSERT_EQ(layers.size(), 2u);
   check_golden("layered_brute_force", combine_results(layers));

@@ -23,12 +23,12 @@ ScenarioConfig small_config() {
 TEST(PipeStoppageIntegrationTest, TotalBlackoutStopsPolls) {
   ScenarioConfig config = small_config();
   config.enable_damage = false;
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(360);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(360),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   // A year-long 100%-coverage blackout suppresses essentially all polls.
   EXPECT_LT(attacked.report.successful_polls, baseline.report.successful_polls / 10 + 5);
@@ -41,12 +41,12 @@ TEST(PipeStoppageIntegrationTest, ShortAttacksBarelyMatter) {
   // spread across the 90-day solicitation window.
   ScenarioConfig config = small_config();
   config.enable_damage = false;
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(2);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(2),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   EXPECT_GT(attacked.report.successful_polls, baseline.report.successful_polls * 8 / 10);
 }
@@ -55,12 +55,12 @@ TEST(PipeStoppageIntegrationTest, PartialCoverageDegradesGracefully) {
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::years(1);
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.coverage = 0.4;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(60);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(60),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 0.4}}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   // 40% coverage must hurt less than proportionally (untargeted peers keep
   // auditing; targeted peers recover in recuperation).
@@ -70,12 +70,12 @@ TEST(PipeStoppageIntegrationTest, PartialCoverageDegradesGracefully) {
 
 TEST(PipeStoppageIntegrationTest, DamageAccumulatesDuringBlackout) {
   ScenarioConfig config = small_config();
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(180);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(180),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   // Repairs are blocked during blackouts, so damage lingers longer.
   EXPECT_GT(attacked.report.access_failure_probability,
@@ -87,12 +87,12 @@ TEST(AdmissionFloodIntegrationTest, AuditsContinueUnderGarbageFlood) {
   // probability or the delay ratio."
   ScenarioConfig config = small_config();
   config.enable_damage = false;
-  config.adversary.kind = AdversarySpec::Kind::kAdmissionFlood;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(360);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                       .cadence = {.attack_duration = sim::SimTime::days(360),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   EXPECT_GT(attacked.adversary_invitations, 1000u);
   EXPECT_GT(attacked.report.successful_polls, baseline.report.successful_polls * 9 / 10);
@@ -102,10 +102,10 @@ TEST(AdmissionFloodIntegrationTest, RefractoryPeriodsBurnAndVerificationWasted) 
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::months(6);
-  config.adversary.kind = AdversarySpec::Kind::kAdmissionFlood;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(170);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                       .cadence = {.attack_duration = sim::SimTime::days(170),
+                                   .recuperation = sim::SimTime::days(30),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
   // Garbage that passes the coin flip is detected only at verification.
   const uint64_t verified_garbage = attacked.admission_verdicts[static_cast<size_t>(
@@ -133,10 +133,10 @@ TEST(BruteForceIntegrationTest, FullParticipationRaisesFriction) {
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::months(9);
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
-  config.adversary.defection = adversary::DefectionPoint::kNone;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce,
+                       .defection = adversary::DefectionPoint::kNone}};
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
   const RelativeMetrics rel = relative_metrics(attacked, baseline);
   EXPECT_GT(attacked.adversary_admissions, 50u);
@@ -150,10 +150,10 @@ TEST(BruteForceIntegrationTest, IntroDefectionWastesLessDefenderEffortThanFull) 
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::months(9);
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
-  config.adversary.defection = adversary::DefectionPoint::kIntro;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce,
+                       .defection = adversary::DefectionPoint::kIntro}};
   const RunResult intro = run_scenario(config);
-  config.adversary.defection = adversary::DefectionPoint::kNone;
+  config.adversary[0].defection = adversary::DefectionPoint::kNone;
   const RunResult none = run_scenario(config);
   // Table 1 ordering: INTRO friction < NONE friction.
   EXPECT_LT(intro.report.effort_per_successful_poll, none.report.effort_per_successful_poll);
@@ -171,13 +171,13 @@ TEST(BruteForceIntegrationTest, CostRatioOrderingMatchesTable1) {
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::months(9);
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
 
-  config.adversary.defection = adversary::DefectionPoint::kIntro;
+  config.adversary[0].defection = adversary::DefectionPoint::kIntro;
   const RunResult intro = run_scenario(config);
-  config.adversary.defection = adversary::DefectionPoint::kRemaining;
+  config.adversary[0].defection = adversary::DefectionPoint::kRemaining;
   const RunResult remaining = run_scenario(config);
-  config.adversary.defection = adversary::DefectionPoint::kNone;
+  config.adversary[0].defection = adversary::DefectionPoint::kNone;
   const RunResult none = run_scenario(config);
 
   EXPECT_GT(intro.report.cost_ratio, remaining.report.cost_ratio);
@@ -196,8 +196,8 @@ TEST(BruteForceIntegrationTest, AdmissionsRateLimitedByRefractory) {
   ScenarioConfig config = small_config();
   config.enable_damage = false;
   config.duration = sim::SimTime::months(3);
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
-  config.adversary.defection = adversary::DefectionPoint::kNone;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce,
+                       .defection = adversary::DefectionPoint::kNone}};
   const RunResult attacked = run_scenario(config);
   // Ceiling: one unknown/debt admission per victim per AU per refractory
   // day => 30 peers x 2 AUs x ~90 days.

@@ -34,10 +34,10 @@ ScenarioConfig everything_config() {
   config.seed = 20250730;
   config.damage.mean_disk_years_between_failures = 0.2;
   config.damage.aus_per_disk = config.au_count;
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(30);
-  config.adversary.cadence.recuperation = sim::SimTime::days(15);
-  config.adversary.cadence.coverage = 0.5;
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(30),
+                                   .recuperation = sim::SimTime::days(15),
+                                   .coverage = 0.5}}};
   config.churn.leave_rate_per_peer_year = 1.0;
   config.churn.crash_rate_per_peer_year = 0.5;
   config.churn.mean_downtime_days = 6.0;

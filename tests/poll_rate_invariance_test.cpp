@@ -20,22 +20,31 @@ ScenarioConfig rate_config(uint64_t seed) {
   config.duration = sim::SimTime::years(1);
   config.seed = seed;
   config.enable_damage = false;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(300);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
   return config;
 }
+
+adversary::AdversaryPhase phase(adversary::PhaseKind kind) {
+  return {.kind = kind,
+          .cadence = {.attack_duration = sim::SimTime::days(300),
+                      .recuperation = sim::SimTime::days(30),
+                      .coverage = 1.0}};
+}
+
+struct AttackCase {
+  const char* name;
+  adversary::AdversaryPipeline pipeline;
+};
 
 // polls_started counts every poll cycle a peer began. One poll per AU per
 // interval (phase-randomized start) over a year of 3-month intervals gives
 // 20 * 2 * ~4 with edge effects; the exact value is deterministic per seed.
-class PollRateInvarianceTest : public ::testing::TestWithParam<AdversarySpec::Kind> {};
+class PollRateInvarianceTest : public ::testing::TestWithParam<AttackCase> {};
 
 TEST_P(PollRateInvarianceTest, PollStartRateUnchangedByAttack) {
   ScenarioConfig config = rate_config(21);
-  config.adversary.kind = GetParam();
+  config.adversary = GetParam().pipeline;
   const RunResult attacked = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kNone;
+  config.adversary.clear();
   const RunResult baseline = run_scenario(config);
 
   // Poll *starts* are scheduled autonomously: a fixed rate per AU, never
@@ -48,28 +57,17 @@ TEST_P(PollRateInvarianceTest, PollStartRateUnchangedByAttack) {
       << "adversary changed the autonomous poll rate";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAdversaries, PollRateInvarianceTest,
-                         ::testing::Values(AdversarySpec::Kind::kPipeStoppage,
-                                           AdversarySpec::Kind::kAdmissionFlood,
-                                           AdversarySpec::Kind::kBruteForce,
-                                           AdversarySpec::Kind::kVoteFlood,
-                                           AdversarySpec::Kind::kCombined),
-                         [](const ::testing::TestParamInfo<AdversarySpec::Kind>& param) {
-                           switch (param.param) {
-                             case AdversarySpec::Kind::kPipeStoppage:
-                               return "PipeStoppage";
-                             case AdversarySpec::Kind::kAdmissionFlood:
-                               return "AdmissionFlood";
-                             case AdversarySpec::Kind::kBruteForce:
-                               return "BruteForce";
-                             case AdversarySpec::Kind::kVoteFlood:
-                               return "VoteFlood";
-                             case AdversarySpec::Kind::kCombined:
-                               return "Combined";
-                             default:
-                               return "Other";
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllAdversaries, PollRateInvarianceTest,
+    ::testing::Values(
+        AttackCase{"PipeStoppage", {phase(adversary::PhaseKind::kPipeStoppage)}},
+        AttackCase{"AdmissionFlood", {phase(adversary::PhaseKind::kAdmissionFlood)}},
+        AttackCase{"BruteForce", {phase(adversary::PhaseKind::kBruteForce)}},
+        AttackCase{"VoteFlood", {phase(adversary::PhaseKind::kVoteFlood)}},
+        AttackCase{"Combined",
+                   {phase(adversary::PhaseKind::kPipeStoppage),
+                    phase(adversary::PhaseKind::kBruteForce)}}),
+    [](const ::testing::TestParamInfo<AttackCase>& param) { return param.param.name; });
 
 TEST(PollRateConfigurationTest, RateTracksConfiguredInterval) {
   // Halving the inter-poll interval doubles poll starts (autonomy also means

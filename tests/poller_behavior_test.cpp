@@ -4,6 +4,7 @@
 // them in response to other peers' actions").
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "experiment/scenario.hpp"
@@ -59,9 +60,9 @@ TEST(PollerBehaviorTest, FixedPollRateRegardlessOfAdversity) {
   // no-attack run exactly.
   ScenarioConfig config = tiny_config();
   const RunResult calm = run_scenario(config);
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.coverage = 1.0;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(360);
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(360),
+                                   .coverage = 1.0}}};
   const RunResult attacked = run_scenario(config);
   EXPECT_EQ(calm.polls_started, attacked.polls_started);
 }
@@ -121,7 +122,7 @@ TEST(PollerBehaviorTest, OuterCircleDiscoversNewPeers) {
 // Whole-scenario invariants swept across seeds and adversaries.
 struct InvariantCase {
   uint64_t seed;
-  AdversarySpec::Kind adversary;
+  std::optional<adversary::PhaseKind> attack;  // nullopt: undisturbed
 };
 
 class ScenarioInvariantTest : public ::testing::TestWithParam<InvariantCase> {};
@@ -135,11 +136,12 @@ TEST_P(ScenarioInvariantTest, AccountingInvariantsHold) {
   config.enable_damage = true;
   config.damage.mean_disk_years_between_failures = 0.5;
   config.damage.aus_per_disk = 2.0;
-  config.adversary.kind = param.adversary;
-  config.adversary.defection = adversary::DefectionPoint::kNone;
-  config.adversary.cadence.coverage = 0.5;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(45);
-  config.adversary.cadence.recuperation = sim::SimTime::days(30);
+  if (param.attack) {
+    config.adversary = {{.kind = *param.attack,
+                         .cadence = {.attack_duration = sim::SimTime::days(45),
+                                     .recuperation = sim::SimTime::days(30),
+                                     .coverage = 0.5}}};
+  }
   const RunResult result = run_scenario(config);
 
   // Access failure is a probability.
@@ -168,13 +170,12 @@ TEST_P(ScenarioInvariantTest, AccountingInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndAdversaries, ScenarioInvariantTest,
-    ::testing::Values(InvariantCase{1, AdversarySpec::Kind::kNone},
-                      InvariantCase{2, AdversarySpec::Kind::kNone},
-                      InvariantCase{3, AdversarySpec::Kind::kPipeStoppage},
-                      InvariantCase{4, AdversarySpec::Kind::kPipeStoppage},
-                      InvariantCase{5, AdversarySpec::Kind::kAdmissionFlood},
-                      InvariantCase{6, AdversarySpec::Kind::kBruteForce},
-                      InvariantCase{7, AdversarySpec::Kind::kGradeRecovery}));
+    ::testing::Values(InvariantCase{1, std::nullopt}, InvariantCase{2, std::nullopt},
+                      InvariantCase{3, adversary::PhaseKind::kPipeStoppage},
+                      InvariantCase{4, adversary::PhaseKind::kPipeStoppage},
+                      InvariantCase{5, adversary::PhaseKind::kAdmissionFlood},
+                      InvariantCase{6, adversary::PhaseKind::kBruteForce},
+                      InvariantCase{7, adversary::PhaseKind::kGradeRecovery}));
 
 }  // namespace
 }  // namespace lockss::experiment

@@ -137,25 +137,25 @@ TEST(ShardingIdentityTest, Baseline) {
 
 TEST(ShardingIdentityTest, PipeStoppage) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(30);
-  config.adversary.cadence.recuperation = sim::SimTime::days(15);
-  config.adversary.cadence.coverage = 0.5;
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(30),
+                                   .recuperation = sim::SimTime::days(15),
+                                   .coverage = 0.5}}};
   check_shard_counts(config, "pipe_stoppage", {2});
 }
 
 TEST(ShardingIdentityTest, AdmissionFlood) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kAdmissionFlood;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(20);
-  config.adversary.cadence.recuperation = sim::SimTime::days(20);
-  config.adversary.cadence.coverage = 1.0;
+  config.adversary = {{.kind = adversary::PhaseKind::kAdmissionFlood,
+                       .cadence = {.attack_duration = sim::SimTime::days(20),
+                                   .recuperation = sim::SimTime::days(20),
+                                   .coverage = 1.0}}};
   check_shard_counts(config, "admission_flood", {2});
 }
 
 TEST(ShardingIdentityTest, VoteFlood) {
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kVoteFlood;
+  config.adversary = {{.kind = adversary::PhaseKind::kVoteFlood}};
   check_shard_counts(config, "vote_flood", {2, 4});
 }
 
@@ -192,10 +192,10 @@ TEST(ShardingIdentityTest, UnreliableLinksUnderChurnAndAttack) {
   config.churn.crash_rate_per_peer_year = 0.5;
   config.churn.mean_downtime_days = 6.0;
   config.churn.arrival_rate_per_year = 2.0;
-  config.adversary.kind = AdversarySpec::Kind::kPipeStoppage;
-  config.adversary.cadence.attack_duration = sim::SimTime::days(25);
-  config.adversary.cadence.recuperation = sim::SimTime::days(20);
-  config.adversary.cadence.coverage = 0.4;
+  config.adversary = {{.kind = adversary::PhaseKind::kPipeStoppage,
+                       .cadence = {.attack_duration = sim::SimTime::days(25),
+                                   .recuperation = sim::SimTime::days(20),
+                                   .coverage = 0.4}}};
   check_shard_counts(config, "faults_churn_attack", {2, 8});
 }
 
@@ -221,7 +221,7 @@ TEST(ShardingIdentityTest, RegionalOutage) {
   // (whole NodeId blocks going dark at once) — the hardest case for the
   // (time, shard, sequence) merge key.
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
   config.churn.regions = 3;
   config.churn.regional_outage_rate_per_year = 3.0;
   config.churn.regional_outage_days = 6.0;
@@ -234,7 +234,7 @@ TEST(ShardingIdentityTest, LayeredBruteForce) {
   // §6.3 layering threads schedule exports between runs; every layer must
   // shard identically for the combined result to match.
   ScenarioConfig config = canonical_config();
-  config.adversary.kind = AdversarySpec::Kind::kBruteForce;
+  config.adversary = {{.kind = adversary::PhaseKind::kBruteForce}};
   config.shards = 1;
   const std::vector<RunResult> serial_layers = run_layered(config, 2);
   config.shards = 2;

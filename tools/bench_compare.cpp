@@ -10,7 +10,8 @@
 //     determinism break is a correctness bug, not a perf wobble);
 //   * serial_seconds must not exceed baseline * (1 + tolerance);
 //   * rows carrying an "obs_hook_overhead" member (the fig3/fig6 inert
-//     tracing-hook measurement, docs/observability.md) must stay at or
+//     tracing-hook measurement, docs/observability.md: the median of
+//     bench_report's interleaved trials) must stay at or
 //     below 1 + hook-tolerance — the current report's own ratio, not a
 //     baseline diff, so disabled-tracing hooks can never quietly grow a
 //     cost;

@@ -19,7 +19,8 @@
 // Two sweeps are timed, matching the two attack families the paper plots:
 // the pipe-stoppage grid behind Figures 3-5 and the admission-flood grid
 // behind Figures 6-8. Each grid is duration × coverage × seeds plus a
-// replicated baseline, exactly as bench/attrition_sweep.hpp builds it.
+// replicated baseline: the duration × coverage shape campaigns/fig3.json
+// sweeps, at bench scale.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -165,7 +166,84 @@ SweepReport time_grid(const std::string& name,
   return out;
 }
 
-SweepReport time_sweep(const std::string& name, experiment::AdversarySpec::Kind adversary,
+// One inert-hook overhead measurement: the wall-clock ratio of a run with a
+// hook installed but inert against the same run without it. A single pair
+// of ~0.2 s runs on a shared box swings ±20%, so the pair runs as
+// kHookTrials interleaved trials, alternating which side runs first, and
+// the row records the median ratio with its min and max. Every trial must
+// agree bit for bit on every simulation field; the protocol trace is the
+// one field an inert hook may legitimately change (tracing with an empty
+// kind mask), so it is excluded from the comparison.
+constexpr int kHookTrials = 5;
+
+struct HookPair {
+  double ideal_seconds = 0.0;  // medians over the trials
+  double inert_seconds = 0.0;
+  double overhead = 0.0;  // median per-trial inert / ideal ratio
+  double overhead_min = 0.0;
+  double overhead_max = 0.0;
+  bool identical = true;
+};
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+HookPair time_hook_pair(const experiment::ScenarioConfig& ideal,
+                        const experiment::ScenarioConfig& inert) {
+  const auto timed = [](const experiment::ScenarioConfig& config, double* seconds) {
+    const double start = now_seconds();
+    experiment::RunResult result = experiment::run_scenario(config);
+    *seconds = now_seconds() - start;
+    return result;
+  };
+  HookPair pair;
+  std::vector<double> ideal_seconds(kHookTrials), inert_seconds(kHookTrials), ratios;
+  for (int t = 0; t < kHookTrials; ++t) {
+    experiment::RunResult ideal_result, inert_result;
+    if (t % 2 == 0) {
+      ideal_result = timed(ideal, &ideal_seconds[t]);
+      inert_result = timed(inert, &inert_seconds[t]);
+    } else {
+      inert_result = timed(inert, &inert_seconds[t]);
+      ideal_result = timed(ideal, &ideal_seconds[t]);
+    }
+    inert_result.obs_events = ideal_result.obs_events;
+    pair.identical = pair.identical && identical(ideal_result, inert_result);
+    ratios.push_back(inert_seconds[t] / ideal_seconds[t]);
+  }
+  pair.ideal_seconds = median(ideal_seconds);
+  pair.inert_seconds = median(inert_seconds);
+  pair.overhead = median(ratios);
+  pair.overhead_min = *std::min_element(ratios.begin(), ratios.end());
+  pair.overhead_max = *std::max_element(ratios.begin(), ratios.end());
+  return pair;
+}
+
+// The row's JSON members for a hook pair, keyed "<prefix>ideal_seconds",
+// "<prefix>inert_seconds", "<prefix>hook_overhead" (+ _min / _max).
+std::string hook_pair_json(const std::string& prefix, const HookPair& pair) {
+  char json[384];
+  std::snprintf(json, sizeof(json),
+                ",\n     \"%sideal_seconds\": %.3f, \"%sinert_seconds\": %.3f, "
+                "\"%shook_overhead\": %.3f,\n     \"%shook_overhead_min\": %.3f, "
+                "\"%shook_overhead_max\": %.3f",
+                prefix.c_str(), pair.ideal_seconds, prefix.c_str(), pair.inert_seconds,
+                prefix.c_str(), pair.overhead, prefix.c_str(), pair.overhead_min,
+                prefix.c_str(), pair.overhead_max);
+  return json;
+}
+
+void print_hook_pair(const std::string& name, const char* what, const HookPair& pair) {
+  std::printf("# %s: %s overhead %.3fs / %.3fs, median ratio %.2fx [%.2f, %.2f] over %d "
+              "trials, identical=%s\n",
+              name.c_str(), what, pair.inert_seconds, pair.ideal_seconds, pair.overhead,
+              pair.overhead_min, pair.overhead_max, kHookTrials,
+              pair.identical ? "yes" : "NO");
+}
+
+SweepReport time_sweep(const std::string& name, adversary::PhaseKind attack,
                        const experiment::BenchProfile& profile,
                        const experiment::ScenarioConfig& base, unsigned workers) {
   const std::vector<double> durations = {5, 30, 90, 180};
@@ -182,10 +260,10 @@ SweepReport time_sweep(const std::string& name, experiment::AdversarySpec::Kind 
   for (double duration : durations) {
     for (double coverage : coverages) {
       experiment::ScenarioConfig config = base;
-      config.adversary.kind = adversary;
-      config.adversary.cadence.attack_duration = sim::SimTime::days(duration);
-      config.adversary.cadence.recuperation = sim::SimTime::days(30);
-      config.adversary.cadence.coverage = coverage / 100.0;
+      config.adversary = {{.kind = attack,
+                           .cadence = {.attack_duration = sim::SimTime::days(duration),
+                                       .recuperation = sim::SimTime::days(30),
+                                       .coverage = coverage / 100.0}}};
       for (uint32_t s = 0; s < profile.seeds; ++s) {
         config.seed = base.seed + s;
         grid.push_back(config);
@@ -199,36 +277,19 @@ SweepReport time_sweep(const std::string& name, experiment::AdversarySpec::Kind 
   SweepReport out = time_grid(name, grid, labels, workers);
 
   // Observability inert-hook bound (docs/observability.md), mirroring the
-  // network_faults row's fault-hook bound: one untraced run against one
-  // with tracing enabled but kind_mask = 0, so every protocol hook reaches
-  // its sink and is masked off there. The wall-clock ratio is the pure
-  // cost of keeping the tracing path hot, and the two runs must agree on
-  // every simulation field (tracing consumes no RNG).
+  // network_faults row's fault-hook bound: untraced runs against runs with
+  // tracing enabled but kind_mask = 0, so every protocol hook reaches its
+  // sink and is masked off there. The wall-clock ratio is the pure cost of
+  // keeping the tracing path hot (tracing consumes no RNG).
   experiment::ScenarioConfig ideal = base;
   ideal.trace_interval = sim::SimTime::zero();
-  double start = now_seconds();
-  const experiment::RunResult ideal_result = experiment::run_scenario(ideal);
-  const double obs_ideal_seconds = now_seconds() - start;
   experiment::ScenarioConfig traced = ideal;
   traced.obs_trace.enabled = true;
   traced.obs_trace.kind_mask = 0;
-  start = now_seconds();
-  experiment::RunResult traced_result = experiment::run_scenario(traced);
-  const double obs_inert_seconds = now_seconds() - start;
-  // The trace itself (enabled flag, zero events) is the one legitimate
-  // difference; every simulation field must match bit for bit.
-  traced_result.obs_events = ideal_result.obs_events;
-  const bool obs_identical = identical(ideal_result, traced_result);
-  out.identical_metrics = out.identical_metrics && obs_identical;
-  char extra[192];
-  std::snprintf(extra, sizeof(extra),
-                ",\n     \"obs_ideal_seconds\": %.3f, \"obs_inert_seconds\": %.3f, "
-                "\"obs_hook_overhead\": %.3f",
-                obs_ideal_seconds, obs_inert_seconds, obs_inert_seconds / obs_ideal_seconds);
-  out.extra_json = extra;
-  std::printf("# %s: obs inert-hook overhead %.3fs / %.3fs = %.2fx, identical=%s\n",
-              name.c_str(), obs_inert_seconds, obs_ideal_seconds,
-              obs_inert_seconds / obs_ideal_seconds, obs_identical ? "yes" : "NO");
+  const HookPair obs = time_hook_pair(ideal, traced);
+  out.identical_metrics = out.identical_metrics && obs.identical;
+  out.extra_json = hook_pair_json("obs_", obs);
+  print_hook_pair(name, "obs inert-hook", obs);
   return out;
 }
 
@@ -308,24 +369,12 @@ SweepReport time_faults_sweep(const std::string& name, const experiment::BenchPr
   // Hook-overhead bound at loss = 0.
   experiment::ScenarioConfig ideal = base;
   ideal.trace_interval = sim::SimTime::zero();
-  double start = now_seconds();
-  const experiment::RunResult ideal_result = experiment::run_scenario(ideal);
-  const double ideal_seconds = now_seconds() - start;
   experiment::ScenarioConfig inert = ideal;
   inert.faults.install_when_inert = true;
-  start = now_seconds();
-  const experiment::RunResult inert_result = experiment::run_scenario(inert);
-  const double inert_seconds = now_seconds() - start;
-  out.identical_metrics = out.identical_metrics && identical(ideal_result, inert_result);
-  char extra[160];
-  std::snprintf(extra, sizeof(extra),
-                ",\n     \"ideal_seconds\": %.3f, \"inert_seconds\": %.3f, "
-                "\"hook_overhead\": %.3f",
-                ideal_seconds, inert_seconds, inert_seconds / ideal_seconds);
-  out.extra_json = extra;
-  std::printf("# network_faults: inert-hook overhead %.3fs / %.3fs = %.2fx, identical=%s\n",
-              inert_seconds, ideal_seconds, inert_seconds / ideal_seconds,
-              identical(ideal_result, inert_result) ? "yes" : "NO");
+  const HookPair fault = time_hook_pair(ideal, inert);
+  out.identical_metrics = out.identical_metrics && fault.identical;
+  out.extra_json = hook_pair_json("", fault);
+  print_hook_pair(name, "inert-hook", fault);
   return out;
 }
 
@@ -354,7 +403,7 @@ SweepReport time_tournament_sweep(const std::string& name,
   adversary::AdversaryPhase brute;
   brute.kind = adversary::PhaseKind::kBruteForce;
   brute.defection = adversary::DefectionPoint::kRemaining;
-  duel.adversary.pipeline = {stoppage, brute};
+  duel.adversary = {stoppage, brute};
   duel.adversary_policy.reaction_latency = sim::SimTime::hours(6);
   duel.adversary_policy.cooldown = sim::SimTime::days(3);
   duel.adversary_policy.outage_threshold = 0.15;
@@ -393,27 +442,14 @@ SweepReport time_tournament_sweep(const std::string& name,
   // Inert-policy-hook bound over the static deployment.
   experiment::ScenarioConfig ideal = base;
   ideal.trace_interval = sim::SimTime::zero();
-  ideal.adversary.pipeline = duel.adversary.pipeline;
-  double start = now_seconds();
-  const experiment::RunResult ideal_result = experiment::run_scenario(ideal);
-  const double ideal_seconds = now_seconds() - start;
+  ideal.adversary = duel.adversary;
   experiment::ScenarioConfig inert = ideal;
   inert.adversary_policy = duel.adversary_policy;
   inert.adversary_policy.policies = opportunist;  // no churn: can never fire
-  start = now_seconds();
-  const experiment::RunResult inert_result = experiment::run_scenario(inert);
-  const double inert_seconds = now_seconds() - start;
-  const bool policy_identical = identical(ideal_result, inert_result);
-  out.identical_metrics = out.identical_metrics && policy_identical;
-  char extra[192];
-  std::snprintf(extra, sizeof(extra),
-                ",\n     \"policy_ideal_seconds\": %.3f, \"policy_inert_seconds\": %.3f, "
-                "\"policy_hook_overhead\": %.3f",
-                ideal_seconds, inert_seconds, inert_seconds / ideal_seconds);
-  out.extra_json = extra;
-  std::printf("# %s: inert-policy-hook overhead %.3fs / %.3fs = %.2fx, identical=%s\n",
-              name.c_str(), inert_seconds, ideal_seconds, inert_seconds / ideal_seconds,
-              policy_identical ? "yes" : "NO");
+  const HookPair policy = time_hook_pair(ideal, inert);
+  out.identical_metrics = out.identical_metrics && policy.identical;
+  out.extra_json = hook_pair_json("policy_", policy);
+  print_hook_pair(name, "inert-policy-hook", policy);
   return out;
 }
 
@@ -564,12 +600,10 @@ int main(int argc, char** argv) {
   // traces are emitted as CSV for the §6.1 time-series figures.
   base.trace_interval = sim::SimTime::days(trace_days);
   std::vector<SweepReport> sweeps;
-  sweeps.push_back(time_sweep("fig3_pipe_stoppage_afp",
-                              experiment::AdversarySpec::Kind::kPipeStoppage, profile, base,
-                              workers));
-  sweeps.push_back(time_sweep("fig6_admission_afp",
-                              experiment::AdversarySpec::Kind::kAdmissionFlood, profile, base,
-                              workers));
+  sweeps.push_back(time_sweep("fig3_pipe_stoppage_afp", adversary::PhaseKind::kPipeStoppage,
+                              profile, base, workers));
+  sweeps.push_back(time_sweep("fig6_admission_afp", adversary::PhaseKind::kAdmissionFlood,
+                              profile, base, workers));
   sweeps.push_back(time_churn_sweep("churn_dynamics", profile, base, workers));
   sweeps.push_back(time_faults_sweep("network_faults", profile, base, workers));
   sweeps.push_back(time_tournament_sweep("adversary_tournament", profile, base, workers));
