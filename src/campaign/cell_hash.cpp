@@ -1,6 +1,5 @@
 #include "campaign/cell_hash.hpp"
 
-#include "adversary/pipeline.hpp"
 
 namespace lockss::campaign {
 
@@ -18,185 +17,7 @@ uint64_t fnv1a64(const std::string& s) { return fnv1a64(s.data(), s.size()); }
 
 std::string render_spec_canonical(const Spec& spec) {
   JsonWriter w;
-  w.begin_object();
-  w.key("name").value(spec.name);
-  w.key("peers").value(static_cast<uint64_t>(spec.peers));
-  w.key("aus").value(static_cast<uint64_t>(spec.aus));
-  w.key("au_coverage").value(spec.au_coverage);
-  w.key("newcomers").value(static_cast<uint64_t>(spec.newcomers));
-  w.key("newcomer_join_window_ns").value(static_cast<uint64_t>(spec.newcomer_join_window.ns()));
-  w.key("duration_ns").value(static_cast<uint64_t>(spec.duration.ns()));
-  w.key("seed").value(spec.seed);
-  w.key("seeds").value(static_cast<uint64_t>(spec.seeds));
-  w.key("layers").value(static_cast<uint64_t>(spec.layers));
-  w.key("trace_interval_ns").value(static_cast<uint64_t>(spec.trace_interval.ns()));
-  w.key("enable_damage").value(spec.enable_damage);
-  w.key("damage_mtbf_disk_years").value(spec.damage_mtbf_disk_years);
-  w.key("damage_aus_per_disk").value(spec.damage_aus_per_disk);
-  // Protocol overrides apply in file order, so their order is semantic and
-  // is preserved here (this is not the "key reordering" the hash must be
-  // stable against — that is cosmetic member order in the JSON file, which
-  // parse_spec already normalizes into this struct).
-  w.key("protocol_overrides").begin_array();
-  for (const auto& [name, value] : spec.protocol_overrides) {
-    w.begin_object();
-    w.key("param").value(name);
-    w.key("value").value(value);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("churn").begin_object();
-  w.key("leave_rate_per_peer_year").value(spec.churn.leave_rate_per_peer_year);
-  w.key("crash_rate_per_peer_year").value(spec.churn.crash_rate_per_peer_year);
-  w.key("mean_downtime_days").value(spec.churn.mean_downtime_days);
-  w.key("arrival_rate_per_year").value(spec.churn.arrival_rate_per_year);
-  w.key("regions").value(static_cast<uint64_t>(spec.churn.regions));
-  w.key("regional_outage_rate_per_year").value(spec.churn.regional_outage_rate_per_year);
-  w.key("regional_outage_days").value(spec.churn.regional_outage_days);
-  w.key("regional_recovery_stagger_hours").value(spec.churn.regional_recovery_stagger_hours);
-  w.key("regional_state_loss").value(spec.churn.regional_state_loss);
-  w.end_object();
-  w.key("operators").begin_object();
-  w.key("detection_latency_ns").value(static_cast<uint64_t>(spec.operators.detection_latency.ns()));
-  w.key("recrawl_cost_factor").value(spec.operators.recrawl_cost_factor);
-  w.key("policies").begin_array();
-  for (const dynamics::OperatorPolicy& policy : spec.operators.policies) {
-    w.begin_object();
-    w.key("trigger").value(dynamics::operator_trigger_name(policy.trigger));
-    w.key("action").value(dynamics::operator_action_name(policy.action));
-    w.key("factor").value(policy.factor);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  // Network/fault keys are emitted only when they leave the defaults, so
-  // every pre-existing campaign keeps its pre-fault hash (journals written
-  // before the fault layer stay resumable).
-  const net::NetworkConfig default_net;
-  if (spec.network.min_latency != default_net.min_latency ||
-      spec.network.max_latency != default_net.max_latency) {
-    w.key("network").begin_object();
-    w.key("min_latency_ns").value(static_cast<uint64_t>(spec.network.min_latency.ns()));
-    w.key("max_latency_ns").value(static_cast<uint64_t>(spec.network.max_latency.ns()));
-    w.end_object();
-  }
-  if (spec_has_faults(spec)) {
-    w.key("network_faults").begin_object();
-    w.key("loss_rate").value(spec.faults.loss_rate);
-    w.key("dup_rate").value(spec.faults.dup_rate);
-    w.key("jitter_ns").value(static_cast<uint64_t>(spec.faults.jitter.ns()));
-    w.key("burst_outage_rate").value(spec.faults.burst_outage_rate);
-    w.key("burst_cycle_ns").value(static_cast<uint64_t>(spec.faults.burst_cycle.ns()));
-    w.end_object();
-  }
-  // Policy/tournament keys likewise only for policy-engaging specs, so
-  // every pre-policy campaign keeps its hash (and its journals resumable).
-  const auto policy_rules = [&w](const std::vector<adversary::AdversaryPolicy>& rules) {
-    w.begin_array();
-    for (const adversary::AdversaryPolicy& rule : rules) {
-      w.begin_object();
-      w.key("trigger").value(adversary::policy_trigger_name(rule.trigger));
-      w.key("action").value(adversary::policy_action_name(rule.action));
-      w.key("phase").value(static_cast<uint64_t>(rule.phase));
-      w.key("factor").value(rule.factor);
-      w.end_object();
-    }
-    w.end_array();
-  };
-  const auto operator_rules = [&w](const std::vector<dynamics::OperatorPolicy>& rules) {
-    w.begin_array();
-    for (const dynamics::OperatorPolicy& rule : rules) {
-      w.begin_object();
-      w.key("trigger").value(dynamics::operator_trigger_name(rule.trigger));
-      w.key("action").value(dynamics::operator_action_name(rule.action));
-      w.key("factor").value(rule.factor);
-      w.end_object();
-    }
-    w.end_array();
-  };
-  if (spec_has_policies(spec)) {
-    w.key("adversary_policy").begin_object();
-    w.key("reaction_latency_ns")
-        .value(static_cast<uint64_t>(spec.adversary_policy.reaction_latency.ns()));
-    w.key("sensor_interval_ns")
-        .value(static_cast<uint64_t>(spec.adversary_policy.sensor_interval.ns()));
-    w.key("cooldown_ns").value(static_cast<uint64_t>(spec.adversary_policy.cooldown.ns()));
-    w.key("outage_threshold").value(spec.adversary_policy.outage_threshold);
-    w.key("backoff_threshold").value(spec.adversary_policy.backoff_threshold);
-    w.key("collapse_threshold").value(spec.adversary_policy.collapse_threshold);
-    w.key("dormant_mean_ns")
-        .value(static_cast<uint64_t>(spec.adversary_policy.dormant_mean.ns()));
-    w.key("throttle_pause_ns")
-        .value(static_cast<uint64_t>(spec.adversary_policy.throttle_pause.ns()));
-    w.key("policies");
-    policy_rules(spec.adversary_policy.policies);
-    w.end_object();
-  }
-  if (spec.tournament) {
-    w.key("tournament").begin_object();
-    w.key("adversary_strategies").begin_array();
-    for (const Spec::AdversaryStrategy& strategy : spec.adversary_strategies) {
-      w.begin_object();
-      w.key("name").value(strategy.name);
-      w.key("policies");
-      policy_rules(strategy.policies);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("operator_strategies").begin_array();
-    for (const Spec::OperatorStrategy& strategy : spec.operator_strategies) {
-      w.begin_object();
-      w.key("name").value(strategy.name);
-      w.key("detection_latency_ns")
-          .value(static_cast<uint64_t>(strategy.operators.detection_latency.ns()));
-      w.key("recrawl_cost_factor").value(strategy.operators.recrawl_cost_factor);
-      w.key("policies");
-      operator_rules(strategy.operators.policies);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("payoff").value(spec.payoff_name);
-    w.end_object();
-  }
-  w.key("pipeline").begin_array();
-  for (const adversary::AdversaryPhase& phase : spec.pipeline) {
-    w.begin_object();
-    w.key("kind").value(adversary::phase_kind_name(phase.kind));
-    w.key("attack_duration_ns").value(static_cast<uint64_t>(phase.cadence.attack_duration.ns()));
-    w.key("recuperation_ns").value(static_cast<uint64_t>(phase.cadence.recuperation.ns()));
-    w.key("coverage").value(phase.cadence.coverage);
-    w.key("defection").value(adversary::defection_point_name(phase.defection));
-    w.key("start_ns").value(static_cast<uint64_t>(phase.start.ns()));
-    w.key("stop_ns").value(static_cast<uint64_t>(phase.stop.ns()));
-    w.key("minion_count").value(static_cast<uint64_t>(phase.minion_count));
-    w.key("minion_id_base").value(static_cast<uint64_t>(phase.minion_id_base));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("axes").begin_array();
-  for (const SweepAxis& axis : spec.axes) {
-    w.begin_object();
-    w.key("param").value(axis.param);
-    w.key("phase").value(static_cast<uint64_t>(axis.phase));
-    w.key("label").value(axis.label);
-    if (axis.categorical()) {
-      w.key("names").begin_array();
-      for (const std::string& name : axis.names) {
-        w.value(name);
-      }
-      w.end_array();
-    } else {
-      w.key("values").begin_array();
-      for (double v : axis.values) {
-        w.value(v);
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("baseline").value(spec.baseline);
-  w.end_object();
+  write_spec_echo(spec, /*exact=*/true, &w);
   return w.take();
 }
 

@@ -11,12 +11,15 @@
 // deterministic across platforms (no pointer values, no locale, no
 // iteration-order dependence).
 //
-// What the canonical form covers is exactly what determines computed
-// results: deployment scale, damage model, protocol overrides (in
-// application order — order is semantic), dynamics/operators, the
-// adversary pipeline, sweep axes (in grid order), seed/seeds/layers, and
-// tracing. Cosmetic fields (description, output file names, figure layout)
-// are excluded: re-plotting the same cells is reuse, not new work.
+// The canonical form is the manifest's spec echo (campaign::write_spec_echo)
+// with every scalar written as the value the spec stores — a SimTime as
+// integer nanoseconds, never as a days double — so the hash covers exactly
+// what the manifest echoes: every section and scalar field, defaults
+// included, the adversary pipeline, and the sweep axes in grid order.
+// Cosmetic fields (description, output file names, figure layout) are in
+// neither: re-plotting the same cells is reuse, not new work. Any change to
+// the rendering changes every campaign's hash, so --resume refuses journals
+// written before it as belonging to a different campaign spec.
 //
 // Per-cell identity extends the campaign hash with the cell's coordinates
 // (index, label, axis values) plus the replication parameters, so "cell 7
@@ -38,7 +41,8 @@ uint64_t fnv1a64(const void* data, size_t len);
 uint64_t fnv1a64(const std::string& s);
 
 // The canonical JSON rendering of a spec's semantic fields (fixed key
-// order, %.17g numbers). Exposed so tests can pin byte-stability.
+// order, %.17g numbers, exact stored values). Exposed so tests can pin
+// byte-stability.
 std::string render_spec_canonical(const Spec& spec);
 
 // Identity of the whole campaign: fnv1a64(render_spec_canonical(spec)).

@@ -22,6 +22,12 @@
 namespace lockss::campaign {
 namespace {
 
+// Version of the manifest layout (the top-level `format_version` key); bump
+// it whenever keys move. Version 2 is a `spec` object echoing the campaign
+// in its file's sections, keys and units (campaign::write_spec_echo), then
+// every unit metric for every campaign.
+constexpr uint64_t kManifestFormatVersion = 2;
+
 std::string join_path(const std::string& dir, const std::string& name) {
   if (dir.empty() || dir == ".") {
     return name;
@@ -172,65 +178,12 @@ bool write_figure(const CompiledCampaign& campaign, const FigureOutput& figure,
   return true;
 }
 
-// Dynamics keys in the manifest/CSV are emitted only for dynamic specs
-// (campaign::spec_is_dynamic — base sections or dynamics sweep axes), so
-// static campaigns (and their committed golden fixtures) render
-// byte-identically to the pre-dynamics engine.
-void append_dynamics_metrics(JsonWriter& w, const experiment::RunResult& r) {
-  w.key("churn_departures").value(r.churn_departures);
-  w.key("churn_recoveries").value(r.churn_recoveries);
-  w.key("churn_arrivals").value(r.churn_arrivals);
-  w.key("availability_mean").value(r.availability_mean);
-  w.key("mean_recovery_days").value(r.mean_recovery_days);
-  w.key("operator_interventions").begin_array();
-  for (uint64_t n : r.operator_interventions) {
-    w.value(n);
-  }
-  w.end_array();
-}
-
-// Policy keys only for policy-engaging specs (spec_has_policies), so every
-// policy-free campaign manifest renders byte-identically to the pre-policy
-// engine.
-void append_policy_metrics(JsonWriter& w, const experiment::RunResult& r) {
-  w.key("policy_triggers").value(r.policy_triggers);
-  w.key("policy_actions").begin_array();
-  for (uint64_t n : r.policy_actions) {
-    w.value(n);
-  }
-  w.end_array();
-}
-
-// Fault keys likewise only for fault-injecting specs (spec_has_faults), so
-// every fault-free campaign manifest renders byte-identically to the
-// pre-fault engine.
-void append_fault_metrics(JsonWriter& w, const experiment::RunResult& r) {
-  w.key("faults_lost").value(r.faults_lost);
-  w.key("faults_burst_dropped").value(r.faults_burst_dropped);
-  w.key("faults_duplicated").value(r.faults_duplicated);
-  w.key("faults_jittered").value(r.faults_jittered);
-}
-
-// Protocol robustness and session-liveness audit keys, for EVERY spec:
-// polls abort and acks time out on ideal networks too (refusals, busy
-// schedules), and the liveness audit is exactly the counter that must stay
-// zero when nothing is faulty — hiding it from clean campaigns would hide
-// a leak. These used to ride inside the fault block; the golden fixtures
-// were regenerated when they became unconditional.
-void append_robustness_metrics(JsonWriter& w, const experiment::RunResult& r) {
-  w.key("ack_timeouts").value(r.ack_timeouts);
-  w.key("vote_timeouts").value(r.vote_timeouts);
-  w.key("solicitation_retries").value(r.solicitation_retries);
-  w.key("polls_aborted").begin_array();
-  for (uint64_t n : r.polls_aborted) {
-    w.value(n);
-  }
-  w.end_array();
-  w.key("sessions_live_at_end").value(r.sessions_live_at_end);
-  w.key("stale_sessions_at_end").value(r.stale_sessions_at_end);
-  w.key("reservations_beyond_horizon").value(r.reservations_beyond_horizon);
-}
-
+// Every unit's metrics, for every campaign: the §6.1 report and protocol
+// counters, deployment dynamics, injected faults, adversary policies, the
+// protocol-robustness counters and the session-liveness audit. A counter
+// that stays zero in a campaign without that feature is still reported —
+// the liveness audit is exactly the counter that must stay zero when
+// nothing is faulty.
 void append_metrics(JsonWriter& w, const experiment::RunResult& r) {
   const metrics::MetricsReport& m = r.report;
   w.key("access_failure_probability").value(m.access_failure_probability);
@@ -250,6 +203,32 @@ void append_metrics(JsonWriter& w, const experiment::RunResult& r) {
   w.key("adversary_invitations").value(r.adversary_invitations);
   w.key("adversary_admissions").value(r.adversary_admissions);
   w.key("events_processed").value(r.events_processed);
+  const auto counts = [&w](const char* key, const auto& values) {
+    w.key(key).begin_array();
+    for (uint64_t n : values) {
+      w.value(n);
+    }
+    w.end_array();
+  };
+  w.key("churn_departures").value(r.churn_departures);
+  w.key("churn_recoveries").value(r.churn_recoveries);
+  w.key("churn_arrivals").value(r.churn_arrivals);
+  w.key("availability_mean").value(r.availability_mean);
+  w.key("mean_recovery_days").value(r.mean_recovery_days);
+  counts("operator_interventions", r.operator_interventions);
+  w.key("faults_lost").value(r.faults_lost);
+  w.key("faults_burst_dropped").value(r.faults_burst_dropped);
+  w.key("faults_duplicated").value(r.faults_duplicated);
+  w.key("faults_jittered").value(r.faults_jittered);
+  w.key("policy_triggers").value(r.policy_triggers);
+  counts("policy_actions", r.policy_actions);
+  w.key("ack_timeouts").value(r.ack_timeouts);
+  w.key("vote_timeouts").value(r.vote_timeouts);
+  w.key("solicitation_retries").value(r.solicitation_retries);
+  counts("polls_aborted", r.polls_aborted);
+  w.key("sessions_live_at_end").value(r.sessions_live_at_end);
+  w.key("stale_sessions_at_end").value(r.stale_sessions_at_end);
+  w.key("reservations_beyond_horizon").value(r.reservations_beyond_horizon);
 }
 
 // Per-unit trace artifact name (next to the manifest): campaign name,
@@ -259,14 +238,13 @@ std::string trace_file_name(const Spec& spec, const std::string& label) {
   return spec.name + "." + label + ".trace.bin";
 }
 
-// Per-unit trailer shared by the baseline and the cells: unconditional
-// robustness keys, then the opt-in observability keys (trace file name is
-// a pure function of the spec; wall_ms/peak_rss_kb deliberately are not —
-// see the purity caveat in engine.hpp).
-void append_unit_extras(JsonWriter& w, const Spec& spec, const experiment::RunResult& r,
-                        const std::string& label) {
-  append_robustness_metrics(w, r);
-  if (spec_has_trace(spec)) {
+// One unit's metrics, then the opt-in observability keys (the trace file
+// name is a pure function of the spec; wall_ms/peak_rss_kb deliberately
+// are not — see the purity caveat in engine.hpp).
+void append_unit(JsonWriter& w, const Spec& spec, const experiment::RunResult& r,
+                 const std::string& label) {
+  append_metrics(w, r);
+  if (spec.obs_trace.enabled) {
     // Only the file name — event counts live in the artifact itself, and a
     // journal-resumed unit (whose in-memory trace is empty; traces are
     // never journaled) must render the same manifest as a fresh run.
@@ -279,9 +257,7 @@ void append_unit_extras(JsonWriter& w, const Spec& spec, const experiment::RunRe
 }
 
 // Failed units render their status instead of metrics, so a manifest is
-// never silently mistaken for a fully computed one. Campaigns with no
-// failures render byte-identically to the pre-resilience engine (the
-// golden fixtures pin this).
+// never silently mistaken for a fully computed one.
 void append_failure(JsonWriter& w, const UnitStatus& status) {
   w.key("status").value("failed");
   w.key("attempts").value(static_cast<uint64_t>(status.attempts));
@@ -296,23 +272,10 @@ std::string render_cells_csv(const CompiledCampaign& campaign, const CampaignOut
   }
   out += ",access_failure,mean_success_gap_days,successful_polls,inquorate_polls,alarms,"
          "repairs,loyal_effort_s,adversary_effort_s,cost_ratio,adversary_invitations,"
-         "adversary_admissions";
-  const bool dynamic = spec_is_dynamic(spec);
-  if (dynamic) {
-    out += ",churn_departures,churn_recoveries,churn_arrivals,availability_mean,"
-           "mean_recovery_days,operator_interventions";
-  }
-  const bool faulty = spec_has_faults(spec);
-  if (faulty) {
-    out += ",faults_lost,faults_burst_dropped,faults_duplicated,faults_jittered";
-  }
-  const bool policied = spec_has_policies(spec);
-  if (policied) {
-    out += ",policy_triggers,policy_actions";
-  }
-  // Robustness columns for every spec (the manifest's
-  // append_robustness_metrics rationale).
-  out += ",ack_timeouts,vote_timeouts,solicitation_retries,stale_sessions_at_end";
+         "adversary_admissions,churn_departures,churn_recoveries,churn_arrivals,"
+         "availability_mean,mean_recovery_days,operator_interventions,faults_lost,"
+         "faults_burst_dropped,faults_duplicated,faults_jittered,policy_triggers,"
+         "policy_actions,ack_timeouts,vote_timeouts,solicitation_retries,stale_sessions_at_end";
   if (spec.baseline) {
     out += ",delay_ratio,friction";
   }
@@ -339,36 +302,28 @@ std::string render_cells_csv(const CompiledCampaign& campaign, const CampaignOut
                   static_cast<unsigned long long>(r.adversary_invitations),
                   static_cast<unsigned long long>(r.adversary_admissions));
     out += buf;
-    if (dynamic) {
-      uint64_t interventions = 0;
-      for (uint64_t n : r.operator_interventions) {
-        interventions += n;
-      }
-      std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%.6f,%.4f,%llu",
-                    static_cast<unsigned long long>(r.churn_departures),
-                    static_cast<unsigned long long>(r.churn_recoveries),
-                    static_cast<unsigned long long>(r.churn_arrivals), r.availability_mean,
-                    r.mean_recovery_days, static_cast<unsigned long long>(interventions));
-      out += buf;
+    uint64_t interventions = 0;
+    for (uint64_t n : r.operator_interventions) {
+      interventions += n;
     }
-    if (faulty) {
-      std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%llu",
-                    static_cast<unsigned long long>(r.faults_lost),
-                    static_cast<unsigned long long>(r.faults_burst_dropped),
-                    static_cast<unsigned long long>(r.faults_duplicated),
-                    static_cast<unsigned long long>(r.faults_jittered));
-      out += buf;
+    std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%.6f,%.4f,%llu",
+                  static_cast<unsigned long long>(r.churn_departures),
+                  static_cast<unsigned long long>(r.churn_recoveries),
+                  static_cast<unsigned long long>(r.churn_arrivals), r.availability_mean,
+                  r.mean_recovery_days, static_cast<unsigned long long>(interventions));
+    out += buf;
+    uint64_t actions = 0;
+    for (uint64_t n : r.policy_actions) {
+      actions += n;
     }
-    if (policied) {
-      uint64_t actions = 0;
-      for (uint64_t n : r.policy_actions) {
-        actions += n;
-      }
-      std::snprintf(buf, sizeof(buf), ",%llu,%llu",
-                    static_cast<unsigned long long>(r.policy_triggers),
-                    static_cast<unsigned long long>(actions));
-      out += buf;
-    }
+    std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%llu,%llu,%llu",
+                  static_cast<unsigned long long>(r.faults_lost),
+                  static_cast<unsigned long long>(r.faults_burst_dropped),
+                  static_cast<unsigned long long>(r.faults_duplicated),
+                  static_cast<unsigned long long>(r.faults_jittered),
+                  static_cast<unsigned long long>(r.policy_triggers),
+                  static_cast<unsigned long long>(actions));
+    out += buf;
     std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%llu",
                   static_cast<unsigned long long>(r.ack_timeouts),
                   static_cast<unsigned long long>(r.vote_timeouts),
@@ -445,168 +400,19 @@ std::string render_manifest(const CompiledCampaign& campaign, const CampaignOutc
   const bool baseline_ok = outcome.baseline_status.ok;
   JsonWriter w;
   w.begin_object();
+  w.key("format_version").value(kManifestFormatVersion);
   w.key("campaign").value(spec.name);
   w.key("description").value(spec.description);
   w.key("generated_by").value("tools/lockss_campaign");
   if (outcome.units_failed > 0) {
     w.key("failed_units").value(static_cast<uint64_t>(outcome.units_failed));
   }
-  w.key("scale").begin_object();
-  w.key("peers").value(static_cast<uint64_t>(spec.peers));
-  w.key("aus").value(static_cast<uint64_t>(spec.aus));
-  w.key("au_coverage").value(spec.au_coverage);
-  w.key("newcomers").value(static_cast<uint64_t>(spec.newcomers));
-  w.key("duration_days").value(spec.duration.to_days());
-  w.key("seed").value(spec.seed);
-  w.key("seeds").value(static_cast<uint64_t>(spec.seeds));
-  w.key("layers").value(static_cast<uint64_t>(spec.layers));
-  w.key("trace_interval_days").value(spec.trace_interval.to_days());
-  w.end_object();
-  if (spec_is_dynamic(spec)) {
-    w.key("dynamics").begin_object();
-    w.key("leave_rate_per_peer_year").value(spec.churn.leave_rate_per_peer_year);
-    w.key("crash_rate_per_peer_year").value(spec.churn.crash_rate_per_peer_year);
-    w.key("mean_downtime_days").value(spec.churn.mean_downtime_days);
-    w.key("arrival_rate_per_year").value(spec.churn.arrival_rate_per_year);
-    w.key("regions").value(static_cast<uint64_t>(spec.churn.regions));
-    w.key("regional_outage_rate_per_year").value(spec.churn.regional_outage_rate_per_year);
-    w.key("regional_outage_days").value(spec.churn.regional_outage_days);
-    w.key("regional_recovery_stagger_hours")
-        .value(spec.churn.regional_recovery_stagger_hours);
-    w.key("regional_state_loss").value(spec.churn.regional_state_loss);
-    w.end_object();
-    w.key("operators").begin_object();
-    w.key("detection_latency_days").value(spec.operators.detection_latency.to_days());
-    w.key("recrawl_cost_factor").value(spec.operators.recrawl_cost_factor);
-    w.key("policies").begin_array();
-    for (const dynamics::OperatorPolicy& policy : spec.operators.policies) {
-      w.begin_object();
-      w.key("trigger").value(dynamics::operator_trigger_name(policy.trigger));
-      w.key("action").value(dynamics::operator_action_name(policy.action));
-      w.key("factor").value(policy.factor);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  if (spec_has_faults(spec)) {
-    w.key("network").begin_object();
-    w.key("min_latency_ms").value(spec.network.min_latency.to_seconds() * 1000.0);
-    w.key("max_latency_ms").value(spec.network.max_latency.to_seconds() * 1000.0);
-    w.end_object();
-    w.key("network_faults").begin_object();
-    w.key("loss_rate").value(spec.faults.loss_rate);
-    w.key("dup_rate").value(spec.faults.dup_rate);
-    w.key("jitter_ms").value(spec.faults.jitter.to_seconds() * 1000.0);
-    w.key("burst_outage_rate").value(spec.faults.burst_outage_rate);
-    w.key("burst_cycle_days").value(spec.faults.burst_cycle.to_days());
-    w.end_object();
-  }
-  w.key("pipeline").begin_array();
-  for (const adversary::AdversaryPhase& phase : spec.pipeline) {
-    w.begin_object();
-    w.key("kind").value(adversary::phase_kind_name(phase.kind));
-    w.key("attack_days").value(phase.cadence.attack_duration.to_days());
-    w.key("recuperation_days").value(phase.cadence.recuperation.to_days());
-    w.key("coverage").value(phase.cadence.coverage);
-    w.key("defection").value(adversary::defection_point_name(phase.defection));
-    w.key("start_days").value(phase.start.to_days());
-    w.key("stop_days").value(phase.stop.to_days());
-    w.end_object();
-  }
-  w.end_array();
-  if (spec_has_policies(spec)) {
-    const auto policy_rules = [&w](const std::vector<adversary::AdversaryPolicy>& rules) {
-      w.begin_array();
-      for (const adversary::AdversaryPolicy& rule : rules) {
-        w.begin_object();
-        w.key("trigger").value(adversary::policy_trigger_name(rule.trigger));
-        w.key("action").value(adversary::policy_action_name(rule.action));
-        w.key("phase").value(static_cast<uint64_t>(rule.phase));
-        w.key("factor").value(rule.factor);
-        w.end_object();
-      }
-      w.end_array();
-    };
-    w.key("adversary_policy").begin_object();
-    w.key("reaction_latency_hours")
-        .value(spec.adversary_policy.reaction_latency.to_seconds() / 3600.0);
-    w.key("sensor_interval_days").value(spec.adversary_policy.sensor_interval.to_days());
-    w.key("cooldown_days").value(spec.adversary_policy.cooldown.to_days());
-    w.key("outage_threshold").value(spec.adversary_policy.outage_threshold);
-    w.key("backoff_threshold").value(spec.adversary_policy.backoff_threshold);
-    w.key("collapse_threshold").value(spec.adversary_policy.collapse_threshold);
-    w.key("dormant_mean_days").value(spec.adversary_policy.dormant_mean.to_days());
-    w.key("throttle_pause_days").value(spec.adversary_policy.throttle_pause.to_days());
-    w.key("policies");
-    policy_rules(spec.adversary_policy.policies);
-    w.end_object();
-    if (spec.tournament) {
-      w.key("tournament").begin_object();
-      w.key("adversary_strategies").begin_array();
-      for (const Spec::AdversaryStrategy& strategy : spec.adversary_strategies) {
-        w.begin_object();
-        w.key("name").value(strategy.name);
-        w.key("policies");
-        policy_rules(strategy.policies);
-        w.end_object();
-      }
-      w.end_array();
-      w.key("operator_strategies").begin_array();
-      for (const Spec::OperatorStrategy& strategy : spec.operator_strategies) {
-        w.begin_object();
-        w.key("name").value(strategy.name);
-        w.key("detection_latency_days").value(strategy.operators.detection_latency.to_days());
-        w.key("recrawl_cost_factor").value(strategy.operators.recrawl_cost_factor);
-        w.key("policies").begin_array();
-        for (const dynamics::OperatorPolicy& rule : strategy.operators.policies) {
-          w.begin_object();
-          w.key("trigger").value(dynamics::operator_trigger_name(rule.trigger));
-          w.key("action").value(dynamics::operator_action_name(rule.action));
-          w.key("factor").value(rule.factor);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.end_array();
-      w.key("payoff").value(spec.payoff_name);
-      w.end_object();
-    }
-  }
-  w.key("axes").begin_array();
-  for (const SweepAxis& axis : spec.axes) {
-    w.begin_object();
-    w.key("param").value(axis.param);
-    w.key("phase").value(static_cast<uint64_t>(axis.phase));
-    w.key("values").begin_array();
-    if (axis.categorical()) {
-      for (const std::string& name : axis.names) {
-        w.value(name);
-      }
-    } else {
-      for (double v : axis.values) {
-        w.value(v);
-      }
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
+  w.key("spec");
+  write_spec_echo(spec, /*exact=*/false, &w);
   if (spec.baseline) {
     w.key("baseline").begin_object();
     if (baseline_ok) {
-      append_metrics(w, outcome.baseline);
-      if (spec_is_dynamic(spec)) {
-        append_dynamics_metrics(w, outcome.baseline);
-      }
-      if (spec_has_faults(spec)) {
-        append_fault_metrics(w, outcome.baseline);
-      }
-      if (spec_has_policies(spec)) {
-        append_policy_metrics(w, outcome.baseline);
-      }
-      append_unit_extras(w, spec, outcome.baseline, "baseline");
+      append_unit(w, spec, outcome.baseline, "baseline");
     } else {
       append_failure(w, outcome.baseline_status);
     }
@@ -626,17 +432,7 @@ std::string render_manifest(const CompiledCampaign& campaign, const CampaignOutc
     if (!cell_ok) {
       append_failure(w, outcome.cell_status[k]);
     } else {
-      append_metrics(w, outcome.cells[k]);
-      if (spec_is_dynamic(spec)) {
-        append_dynamics_metrics(w, outcome.cells[k]);
-      }
-      if (spec_has_faults(spec)) {
-        append_fault_metrics(w, outcome.cells[k]);
-      }
-      if (spec_has_policies(spec)) {
-        append_policy_metrics(w, outcome.cells[k]);
-      }
-      append_unit_extras(w, spec, outcome.cells[k], cell.label);
+      append_unit(w, spec, outcome.cells[k], cell.label);
       if (spec.baseline && baseline_ok) {
         const experiment::RelativeMetrics rel =
             experiment::relative_metrics(outcome.cells[k], outcome.baseline);
@@ -836,7 +632,7 @@ bool run_campaign(const CompiledCampaign& campaign, const RunOptions& options,
     options.progress(progress);
   }
 
-  const bool tracing = spec_has_trace(spec) && options.write_outputs;
+  const bool tracing = spec.obs_trace.enabled && options.write_outputs;
   std::string journal_error;  // first journal/artifact failure (ends journaling)
   bool journal_dead = !journaling;
   const auto on_complete = [&](size_t index, const experiment::JobOutcome& job) {

@@ -430,6 +430,12 @@ JsonWriter& JsonWriter::value(uint64_t v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::value(int64_t v) {
+  separator();
+  out_ += std::to_string(v);
+  return *this;
+}
+
 JsonWriter& JsonWriter::value(bool v) {
   separator();
   out_ += v ? "true" : "false";

@@ -79,6 +79,7 @@ class JsonWriter {
   JsonWriter& value(const char* v);
   JsonWriter& value(double v);
   JsonWriter& value(uint64_t v);
+  JsonWriter& value(int64_t v);
   // Ints route through the double renderer (exact for |v| < 2^53), so a
   // negative never wraps through uint64_t.
   JsonWriter& value(int v) { return value(static_cast<double>(v)); }

@@ -1,166 +1,372 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <variant>
 
 namespace lockss::campaign {
 namespace {
 
-// --- Protocol override vocabulary ----------------------------------------
+// --- The scalar field table ----------------------------------------------
+//
+// Every numeric or boolean knob of a campaign file is one row of kFields:
+// its section, JSON key, sweep-axis name (if it is sweepable), file unit,
+// allowed range, and the member it sets. The rows drive the section
+// readers, the one range check that section members and sweep values
+// share, applying a sweep value to a cell, and the spec echo that the
+// manifest writes and the campaign hash covers (write_spec_echo). Adding a
+// knob means adding a row. Cross-field rules and structured members (phase
+// kind and defection, policy and strategy tables, observability kinds) stay
+// hand-written in parse_spec.
 
-struct ProtocolParam {
-  const char* name;
-  void (*apply)(protocol::Params&, double);
+enum class Section : uint8_t {
+  kTop,  // members of the top-level object
+  kDeployment,
+  kDamage,
+  kProtocol,
+  kDynamics,
+  kOperators,  // also each tournament operator strategy
+  kNetwork,
+  kFaults,
+  kObservability,
+  kAdversaryPolicy,
+  kPhase,  // each `adversary` pipeline phase
 };
 
-const ProtocolParam kProtocolParams[] = {
-    {"quorum", [](protocol::Params& p, double v) { p.quorum = static_cast<uint32_t>(v); }},
-    {"inner_circle_factor",
-     [](protocol::Params& p, double v) { p.inner_circle_factor = static_cast<uint32_t>(v); }},
-    {"max_disagreeing",
-     [](protocol::Params& p, double v) { p.max_disagreeing = static_cast<uint32_t>(v); }},
-    {"inter_poll_days",
-     [](protocol::Params& p, double v) { p.inter_poll_interval = sim::SimTime::days(v); }},
-    {"nominations_per_vote",
-     [](protocol::Params& p, double v) { p.nominations_per_vote = static_cast<uint32_t>(v); }},
-    {"outer_circle_size",
-     [](protocol::Params& p, double v) { p.outer_circle_size = static_cast<uint32_t>(v); }},
-    {"introduction_fraction",
-     [](protocol::Params& p, double v) { p.introduction_fraction = v; }},
-    {"reference_list_target",
-     [](protocol::Params& p, double v) { p.reference_list_target = static_cast<uint32_t>(v); }},
-    {"friends_per_poll",
-     [](protocol::Params& p, double v) { p.friends_per_poll = static_cast<uint32_t>(v); }},
-    {"friends_list_size",
-     [](protocol::Params& p, double v) { p.friends_list_size = static_cast<uint32_t>(v); }},
-    {"unknown_drop_probability",
-     [](protocol::Params& p, double v) { p.unknown_drop_probability = v; }},
-    {"debt_drop_probability",
-     [](protocol::Params& p, double v) { p.debt_drop_probability = v; }},
-    {"refractory_days",
-     [](protocol::Params& p, double v) { p.refractory_period = sim::SimTime::days(v); }},
-    {"consideration_rate_multiplier",
-     [](protocol::Params& p, double v) { p.consideration_rate_multiplier = v; }},
-    {"grade_decay_months",
-     [](protocol::Params& p, double v) { p.grade_decay_interval = sim::SimTime::months(v); }},
-    {"introductory_effort_fraction",
-     [](protocol::Params& p, double v) { p.introductory_effort_fraction = v; }},
-    {"frivolous_repair_probability",
-     [](protocol::Params& p, double v) { p.frivolous_repair_probability = v; }},
-    {"adaptive_acceptance",
-     [](protocol::Params& p, double v) { p.adaptive_acceptance = v != 0.0; }},
-    {"adaptive_scale", [](protocol::Params& p, double v) { p.adaptive_scale = v; }},
+const char* section_name(Section section) {
+  constexpr const char* kNames[] = {
+      "",         "deployment",     "damage",        "protocol",         "dynamics", "operators",
+      "network",  "network_faults", "observability", "adversary_policy", "adversary",
+  };
+  static_assert(std::size(kNames) == static_cast<size_t>(Section::kPhase) + 1);
+  return kNames[static_cast<size_t>(section)];
+}
+
+// How the file writes a value, and what the member stores.
+enum class Unit : uint8_t {
+  kNumber,   // double, stored as written
+  kPercent,  // double fraction; the file writes percent
+  kCount,    // uint32_t; a whole number in [0, 2^32)
+  kCount64,  // uint64_t; a whole number in [0, 2^53] (exact in a double)
+  kFlag,     // bool; a sweep value or protocol override is true when nonzero
+  kMs,       // sim::SimTime, via SimTime::seconds(ms / 1000)
+  kHours,    // sim::SimTime, via SimTime::hours
+  kDays,     // sim::SimTime, via SimTime::days
+  kMonths,   // sim::SimTime, via SimTime::months
+  kYears,    // sim::SimTime, via SimTime::years
 };
 
-const ProtocolParam* find_protocol_param(const std::string& name) {
-  for (const ProtocolParam& entry : kProtocolParams) {
-    if (name == entry.name) {
-      return &entry;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Allowed file values; `rule` is the diagnostic, worded so one reason
+// serves a section member and a sweep value alike.
+struct Range {
+  double lo;
+  double hi;
+  bool lo_open;
+  const char* rule;
+
+  bool contains(double v) const { return (lo_open ? v > lo : v >= lo) && v <= hi; }
+};
+
+constexpr Range kAny{-kInf, kInf, false, ""};
+constexpr Range kNonNegative{0.0, kInf, false, "must be non-negative"};
+constexpr Range kPositive{0.0, kInf, true, "must be positive"};
+constexpr Range kAtLeastOne{1.0, kInf, false, "must be >= 1"};
+constexpr Range kProbability{0.0, 1.0, false, "must be within [0, 1]"};
+constexpr Range kFraction{0.0, 1.0, true, "must be within (0, 1]"};
+constexpr Range kPercentage{0.0, 100.0, false, "must be within [0, 100]"};
+
+// The structs a spec's scalars live in. A row's slot resolves its member
+// against the one its section names.
+struct Scope {
+  Spec* spec = nullptr;
+  adversary::AdversaryPhase* phase = nullptr;             // kPhase rows
+  dynamics::OperatorResponseConfig* operators = nullptr;  // kOperators rows
+  protocol::Params* params = nullptr;                     // kProtocol rows
+};
+
+using Slot = std::variant<double*, uint32_t*, uint64_t*, bool*, sim::SimTime*>;
+
+struct Field {
+  Section section;
+  const char* key;   // member name in the section (and in the echo)
+  const char* axis;  // sweep-axis name; kSweep = the key; nullptr = not sweepable
+  Unit unit;
+  Range range;
+  Slot (*slot)(const Scope&);
+};
+
+constexpr const char* kSweep = "";
+
+const char* axis_name(const Field& f) { return *f.axis != '\0' ? f.axis : f.key; }
+
+#define FIELD_AT(member) [](const Scope& s) -> Slot { return &s.member; }
+
+using enum Section;
+using enum Unit;
+
+// The adversary_policy rows carry no range: adversary::validate_policies
+// checks those knobs together with each rule table they drive (a
+// tournament's knob-only section is checked per strategy).
+const Field kFields[] = {
+    {kTop, "trace_days", nullptr, kDays, kNonNegative, FIELD_AT(spec->trace_interval)},
+    {kTop, "baseline", nullptr, kFlag, kAny, FIELD_AT(spec->baseline)},
+
+    {kDeployment, "peers", kSweep, kCount, kAtLeastOne, FIELD_AT(spec->peers)},
+    {kDeployment, "aus", kSweep, kCount, kAtLeastOne, FIELD_AT(spec->aus)},
+    {kDeployment, "au_coverage", kSweep, kNumber, kFraction, FIELD_AT(spec->au_coverage)},
+    {kDeployment, "newcomers", kSweep, kCount, kAny, FIELD_AT(spec->newcomers)},
+    {kDeployment, "newcomer_window_days", kSweep, kDays, kNonNegative,
+     FIELD_AT(spec->newcomer_join_window)},
+    {kDeployment, "duration_years", kSweep, kYears, kPositive, FIELD_AT(spec->duration)},
+    {kDeployment, "seed", nullptr, kCount64, kAny, FIELD_AT(spec->seed)},
+    {kDeployment, "seeds", nullptr, kCount, kAtLeastOne, FIELD_AT(spec->seeds)},
+    {kDeployment, "layers", nullptr, kCount, kAny, FIELD_AT(spec->layers)},
+
+    {kDamage, "enabled", nullptr, kFlag, kAny, FIELD_AT(spec->enable_damage)},
+    {kDamage, "mean_disk_years_between_failures", nullptr, kNumber, kPositive,
+     FIELD_AT(spec->damage_mtbf_disk_years)},
+    {kDamage, "aus_per_disk", nullptr, kNumber, kPositive, FIELD_AT(spec->damage_aus_per_disk)},
+
+    {kProtocol, "quorum", kSweep, kCount, kAny, FIELD_AT(params->quorum)},
+    {kProtocol, "inner_circle_factor", kSweep, kCount, kAny, FIELD_AT(params->inner_circle_factor)},
+    {kProtocol, "max_disagreeing", kSweep, kCount, kAny, FIELD_AT(params->max_disagreeing)},
+    {kProtocol, "inter_poll_days", kSweep, kDays, kPositive, FIELD_AT(params->inter_poll_interval)},
+    {kProtocol, "nominations_per_vote", kSweep, kCount, kAny,
+     FIELD_AT(params->nominations_per_vote)},
+    {kProtocol, "outer_circle_size", kSweep, kCount, kAny, FIELD_AT(params->outer_circle_size)},
+    {kProtocol, "introduction_fraction", kSweep, kNumber, kProbability,
+     FIELD_AT(params->introduction_fraction)},
+    {kProtocol, "reference_list_target", kSweep, kCount, kAny,
+     FIELD_AT(params->reference_list_target)},
+    {kProtocol, "friends_per_poll", kSweep, kCount, kAny, FIELD_AT(params->friends_per_poll)},
+    {kProtocol, "friends_list_size", kSweep, kCount, kAny, FIELD_AT(params->friends_list_size)},
+    {kProtocol, "unknown_drop_probability", kSweep, kNumber, kProbability,
+     FIELD_AT(params->unknown_drop_probability)},
+    {kProtocol, "debt_drop_probability", kSweep, kNumber, kProbability,
+     FIELD_AT(params->debt_drop_probability)},
+    {kProtocol, "refractory_days", kSweep, kDays, kNonNegative,
+     FIELD_AT(params->refractory_period)},
+    {kProtocol, "consideration_rate_multiplier", kSweep, kNumber, kNonNegative,
+     FIELD_AT(params->consideration_rate_multiplier)},
+    // A zero decay interval means "no decay".
+    {kProtocol, "grade_decay_months", kSweep, kMonths, kNonNegative,
+     FIELD_AT(params->grade_decay_interval)},
+    {kProtocol, "introductory_effort_fraction", kSweep, kNumber, kProbability,
+     FIELD_AT(params->introductory_effort_fraction)},
+    {kProtocol, "frivolous_repair_probability", kSweep, kNumber, kProbability,
+     FIELD_AT(params->frivolous_repair_probability)},
+    {kProtocol, "adaptive_acceptance", kSweep, kFlag, kAny, FIELD_AT(params->adaptive_acceptance)},
+    {kProtocol, "adaptive_scale", kSweep, kNumber, kNonNegative, FIELD_AT(params->adaptive_scale)},
+
+    {kDynamics, "leave_rate_per_peer_year", "churn_leave_rate", kNumber, kNonNegative,
+     FIELD_AT(spec->churn.leave_rate_per_peer_year)},
+    {kDynamics, "crash_rate_per_peer_year", "churn_crash_rate", kNumber, kNonNegative,
+     FIELD_AT(spec->churn.crash_rate_per_peer_year)},
+    {kDynamics, "mean_downtime_days", "churn_mean_downtime_days", kNumber, kPositive,
+     FIELD_AT(spec->churn.mean_downtime_days)},
+    {kDynamics, "arrival_rate_per_year", "churn_arrival_rate", kNumber, kNonNegative,
+     FIELD_AT(spec->churn.arrival_rate_per_year)},
+    {kDynamics, "regions", nullptr, kCount, kAny, FIELD_AT(spec->churn.regions)},
+    {kDynamics, "regional_outage_rate_per_year", "regional_outage_rate", kNumber, kNonNegative,
+     FIELD_AT(spec->churn.regional_outage_rate_per_year)},
+    {kDynamics, "regional_outage_days", nullptr, kNumber, kPositive,
+     FIELD_AT(spec->churn.regional_outage_days)},
+    {kDynamics, "regional_recovery_stagger_hours", nullptr, kNumber, kNonNegative,
+     FIELD_AT(spec->churn.regional_recovery_stagger_hours)},
+    {kDynamics, "regional_state_loss", nullptr, kFlag, kAny,
+     FIELD_AT(spec->churn.regional_state_loss)},
+
+    {kOperators, "detection_latency_days", kSweep, kDays, kNonNegative,
+     FIELD_AT(operators->detection_latency)},
+    {kOperators, "recrawl_cost_factor", nullptr, kNumber, kPositive,
+     FIELD_AT(operators->recrawl_cost_factor)},
+
+    {kNetwork, "min_latency_ms", nullptr, kMs, kNonNegative, FIELD_AT(spec->network.min_latency)},
+    {kNetwork, "max_latency_ms", nullptr, kMs, kNonNegative, FIELD_AT(spec->network.max_latency)},
+
+    {kFaults, "loss_rate", kSweep, kNumber, kProbability, FIELD_AT(spec->faults.loss_rate)},
+    {kFaults, "dup_rate", kSweep, kNumber, kProbability, FIELD_AT(spec->faults.dup_rate)},
+    {kFaults, "jitter_ms", kSweep, kMs, kNonNegative, FIELD_AT(spec->faults.jitter)},
+    {kFaults, "burst_outage_rate", kSweep, kNumber, kProbability,
+     FIELD_AT(spec->faults.burst_outage_rate)},
+    {kFaults, "burst_cycle_days", nullptr, kDays, kPositive, FIELD_AT(spec->faults.burst_cycle)},
+
+    {kObservability, "trace", nullptr, kFlag, kAny, FIELD_AT(spec->obs_trace.enabled)},
+    {kObservability, "profile", nullptr, kFlag, kAny, FIELD_AT(spec->obs_profile)},
+    {kObservability, "sample_rate", nullptr, kNumber, kProbability,
+     FIELD_AT(spec->obs_trace.sample_rate)},
+    {kObservability, "ring_capacity", nullptr, kCount64, kAny,
+     FIELD_AT(spec->obs_trace.ring_capacity)},
+
+    {kAdversaryPolicy, "reaction_latency_hours", nullptr, kHours, kAny,
+     FIELD_AT(spec->adversary_policy.reaction_latency)},
+    {kAdversaryPolicy, "sensor_interval_days", nullptr, kDays, kAny,
+     FIELD_AT(spec->adversary_policy.sensor_interval)},
+    {kAdversaryPolicy, "cooldown_days", nullptr, kDays, kAny,
+     FIELD_AT(spec->adversary_policy.cooldown)},
+    {kAdversaryPolicy, "outage_threshold", nullptr, kNumber, kAny,
+     FIELD_AT(spec->adversary_policy.outage_threshold)},
+    {kAdversaryPolicy, "backoff_threshold", nullptr, kNumber, kAny,
+     FIELD_AT(spec->adversary_policy.backoff_threshold)},
+    {kAdversaryPolicy, "collapse_threshold", nullptr, kNumber, kAny,
+     FIELD_AT(spec->adversary_policy.collapse_threshold)},
+    {kAdversaryPolicy, "dormant_mean_days", nullptr, kDays, kAny,
+     FIELD_AT(spec->adversary_policy.dormant_mean)},
+    {kAdversaryPolicy, "throttle_pause_days", nullptr, kDays, kAny,
+     FIELD_AT(spec->adversary_policy.throttle_pause)},
+
+    {kPhase, "attack_days", kSweep, kDays, kNonNegative, FIELD_AT(phase->cadence.attack_duration)},
+    {kPhase, "recuperation_days", kSweep, kDays, kNonNegative,
+     FIELD_AT(phase->cadence.recuperation)},
+    {kPhase, "coverage_percent", kSweep, kPercent, kPercentage, FIELD_AT(phase->cadence.coverage)},
+    {kPhase, "start_days", kSweep, kDays, kNonNegative, FIELD_AT(phase->start)},
+    {kPhase, "stop_days", kSweep, kDays, kNonNegative, FIELD_AT(phase->stop)},
+    {kPhase, "minion_count", kSweep, kCount, kAny, FIELD_AT(phase->minion_count)},
+    {kPhase, "minion_id_base", nullptr, kCount, kAny, FIELD_AT(phase->minion_id_base)},
+};
+
+#undef FIELD_AT
+
+const Field* find_field(Section section, const std::string& key) {
+  for (const Field& f : kFields) {
+    if (f.section == section && key == f.key) {
+      return &f;
     }
   }
   return nullptr;
 }
 
-// --- Sweep-axis vocabulary ------------------------------------------------
-
-constexpr const char* kDeploymentAxes[] = {
-    "peers", "aus", "au_coverage", "newcomers", "newcomer_window_days", "duration_years",
-};
-constexpr const char* kPhaseAxes[] = {
-    "attack_days", "recuperation_days", "coverage_percent", "start_days",
-    "stop_days",   "minion_count",      "defection",
-};
-// Deployment-dynamics axes (docs/dynamics.md): churn rates apply to the
-// `dynamics` section, detection latency to `operators`.
-constexpr const char* kDynamicsAxes[] = {
-    "churn_leave_rate",   "churn_crash_rate",     "churn_mean_downtime_days",
-    "churn_arrival_rate", "regional_outage_rate", "detection_latency_days",
-};
-// Unreliable-link fault axes (docs/faults.md): all apply to the
-// `network_faults` section, which must be present for them to mean
-// anything (cross-validated below).
-constexpr const char* kFaultAxes[] = {
-    "loss_rate",
-    "dup_rate",
-    "jitter_ms",
-    "burst_outage_rate",
-};
-
-bool is_deployment_axis(const std::string& name) {
-  return std::find_if(std::begin(kDeploymentAxes), std::end(kDeploymentAxes),
-                      [&](const char* a) { return name == a; }) != std::end(kDeploymentAxes);
-}
-bool is_phase_axis(const std::string& name) {
-  return std::find_if(std::begin(kPhaseAxes), std::end(kPhaseAxes),
-                      [&](const char* a) { return name == a; }) != std::end(kPhaseAxes);
-}
-bool is_dynamics_axis(const std::string& name) {
-  return std::find_if(std::begin(kDynamicsAxes), std::end(kDynamicsAxes),
-                      [&](const char* a) { return name == a; }) != std::end(kDynamicsAxes);
-}
-bool is_fault_axis(const std::string& name) {
-  return std::find_if(std::begin(kFaultAxes), std::end(kFaultAxes),
-                      [&](const char* a) { return name == a; }) != std::end(kFaultAxes);
-}
-
-bool param_is_unsigned_int(const std::string& param) {
-  for (const char* name : {"peers", "aus", "newcomers", "minion_count", "quorum",
-                           "inner_circle_factor", "max_disagreeing", "nominations_per_vote",
-                           "outer_circle_size", "reference_list_target", "friends_per_poll",
-                           "friends_list_size", "max_outstanding_introductions"}) {
-    if (param == name) {
-      return true;
+const Field* find_axis(const std::string& name) {
+  for (const Field& f : kFields) {
+    if (f.axis != nullptr && name == axis_name(f)) {
+      return &f;
     }
   }
-  return false;
+  return nullptr;
 }
 
-// Range/shape constraint for one numeric axis value; empty string = OK.
-// Integer-valued params must be whole non-negative 32-bit numbers (a silent
-// static_cast truncation would run a different experiment than the file
-// describes), and a few params carry semantic ranges.
-std::string check_axis_value(const std::string& param, double v) {
-  if (param_is_unsigned_int(param)) {
-    if (v < 0 || v > 4294967295.0 || v != static_cast<double>(static_cast<uint64_t>(v))) {
-      return "'" + param + "' values must be whole non-negative 32-bit numbers";
-    }
-    if ((param == "peers" || param == "aus") && v < 1) {
-      return "'" + param + "' values must be >= 1";
-    }
+// Whole-number check for count rows, made before anything is cast; empty
+// string = OK.
+std::string integer_error(const Field& f, double v) {
+  if (f.unit != Unit::kCount && f.unit != Unit::kCount64) {
     return "";
   }
-  if (param == "au_coverage") {
-    return v > 0.0 && v <= 1.0 ? "" : "'au_coverage' values must be within (0, 1]";
+  if (!(v >= 0.0) || v != std::floor(v)) {
+    return f.unit == Unit::kCount
+               ? "must be a non-negative integer (whole non-negative 32-bit numbers only)"
+               : "must be a non-negative integer";
   }
-  if (param == "duration_years") {
-    return v > 0.0 ? "" : "'duration_years' values must be positive";
+  if (f.unit == Unit::kCount && v > 4294967295.0) {
+    return "exceeds the 32-bit range";
   }
-  if (param == "attack_days" || param == "recuperation_days" || param == "start_days" ||
-      param == "stop_days" || param == "newcomer_window_days") {
-    return v >= 0.0 ? "" : "'" + param + "' values must be non-negative";
-  }
-  if (param == "coverage_percent") {
-    return v >= 0.0 && v <= 100.0 ? "" : "'coverage_percent' values must be within [0, 100]";
-  }
-  if (param == "churn_leave_rate" || param == "churn_crash_rate" ||
-      param == "churn_arrival_rate" || param == "regional_outage_rate" ||
-      param == "detection_latency_days") {
-    return v >= 0.0 ? "" : "'" + param + "' values must be non-negative";
-  }
-  if (param == "churn_mean_downtime_days") {
-    return v > 0.0 ? "" : "'churn_mean_downtime_days' values must be positive";
-  }
-  if (param == "loss_rate" || param == "dup_rate" || param == "burst_outage_rate") {
-    return v >= 0.0 && v <= 1.0 ? "" : "'" + param + "' values must be within [0, 1]";
-  }
-  if (param == "jitter_ms") {
-    return v >= 0.0 ? "" : "'jitter_ms' values must be non-negative";
+  if (v > 9007199254740992.0) {  // 2^53: exact-double ceiling
+    return "too large to represent exactly (max 2^53)";
   }
   return "";
 }
+
+// Why `v` is not a legal file value of `f` (empty string = OK). Section
+// members and sweep values both answer to this one check.
+std::string value_error(const Field& f, double v) {
+  std::string why = integer_error(f, v);
+  if (why.empty() && !f.range.contains(v)) {
+    why = f.range.rule;
+  }
+  return why;
+}
+
+// A time in the file's unit, through the SimTime factory for that unit.
+sim::SimTime to_time(Unit unit, double v) {
+  switch (unit) {
+    case Unit::kMs:
+      return sim::SimTime::seconds(v / 1000.0);
+    case Unit::kHours:
+      return sim::SimTime::hours(v);
+    case Unit::kMonths:
+      return sim::SimTime::months(v);
+    case Unit::kYears:
+      return sim::SimTime::years(v);
+    default:
+      return sim::SimTime::days(v);
+  }
+}
+
+double from_time(Unit unit, sim::SimTime t) {
+  switch (unit) {
+    case Unit::kMs:
+      return t.to_seconds() * 1000.0;
+    case Unit::kHours:
+      return t.to_seconds() / 3600.0;
+    case Unit::kMonths:
+      return t.to_days() / 30.0;
+    case Unit::kYears:
+      return t.to_years();
+    default:
+      return t.to_days();
+  }
+}
+
+// Stores a checked file value into the member `f` names.
+void store(const Field& f, const Scope& scope, double v) {
+  const Slot slot = f.slot(scope);
+  if (double* const* p = std::get_if<double*>(&slot)) {
+    **p = f.unit == Unit::kPercent ? v / 100.0 : v;
+  } else if (uint32_t* const* p = std::get_if<uint32_t*>(&slot)) {
+    **p = static_cast<uint32_t>(v);
+  } else if (uint64_t* const* p = std::get_if<uint64_t*>(&slot)) {
+    **p = static_cast<uint64_t>(v);
+  } else if (bool* const* p = std::get_if<bool*>(&slot)) {
+    **p = v != 0.0;
+  } else {
+    *std::get<sim::SimTime*>(slot) = to_time(f.unit, v);
+  }
+}
+
+// Writes the member `f` names: in the file's unit, or (`exact`) as stored.
+void write_value(const Field& f, const Scope& scope, bool exact, JsonWriter& w) {
+  const Slot slot = f.slot(scope);
+  if (double* const* p = std::get_if<double*>(&slot)) {
+    w.value(f.unit == Unit::kPercent && !exact ? **p * 100.0 : **p);
+  } else if (uint32_t* const* p = std::get_if<uint32_t*>(&slot)) {
+    w.value(static_cast<uint64_t>(**p));
+  } else if (uint64_t* const* p = std::get_if<uint64_t*>(&slot)) {
+    w.value(**p);
+  } else if (bool* const* p = std::get_if<bool*>(&slot)) {
+    w.value(**p);
+  } else if (const sim::SimTime t = *std::get<sim::SimTime*>(slot); exact) {
+    w.value(t.ns());
+  } else {
+    w.value(from_time(f.unit, t));
+  }
+}
+
+void write_fields(Section section, const Scope& scope, bool exact, JsonWriter& w) {
+  for (const Field& f : kFields) {
+    if (f.section == section) {
+      w.key(f.key);
+      write_value(f, scope, exact, w);
+    }
+  }
+}
+
+// Observability event groups (`observability.kinds`).
+struct KindGroup {
+  const char* name;
+  uint32_t mask;
+};
+constexpr KindGroup kKindGroups[] = {
+    {"poll", obs::kMaskPoll},         {"voter", obs::kMaskVoter},
+    {"churn", obs::kMaskChurn},       {"operator", obs::kMaskOperator},
+    {"fault", obs::kMaskFault},       {"adversary", obs::kMaskAdversary},
+};
 
 bool parse_defection(const std::string& name, adversary::DefectionPoint* out) {
   for (adversary::DefectionPoint point :
@@ -184,8 +390,6 @@ class ObjectReader {
   ObjectReader(const Json& json, const std::string& source, const std::string& field_prefix,
                std::string* error)
       : json_(json), source_(source), prefix_(field_prefix), error_(error) {}
-
-  bool ok() const { return ok_; }
 
   bool fail(int line, const std::string& field, const std::string& reason) {
     if (ok_) {  // keep the first error
@@ -222,35 +426,20 @@ class ObjectReader {
     return true;
   }
 
+  // Structured indices (a sweep's or a policy rule's `phase`).
   bool unsigned_int(const std::string& name, uint32_t* out) {
     const Json* m = member(name);
     if (m == nullptr) {
       return true;
     }
-    if (!m->is_number() || m->number_value < 0 ||
-        m->number_value != static_cast<double>(static_cast<uint64_t>(m->number_value))) {
+    const double v = m->is_number() ? m->number_value : -1.0;
+    if (!(v >= 0.0) || v != std::floor(v)) {
       return fail(m->line, name, "expected a non-negative integer");
     }
-    if (m->number_value > 4294967295.0) {
+    if (v > 4294967295.0) {
       return fail(m->line, name, "exceeds the 32-bit range");
     }
-    *out = static_cast<uint32_t>(m->number_value);
-    return true;
-  }
-
-  bool unsigned_int64(const std::string& name, uint64_t* out) {
-    const Json* m = member(name);
-    if (m == nullptr) {
-      return true;
-    }
-    if (!m->is_number() || m->number_value < 0 ||
-        m->number_value != static_cast<double>(static_cast<uint64_t>(m->number_value))) {
-      return fail(m->line, name, "expected a non-negative integer");
-    }
-    if (m->number_value > 9007199254740992.0) {  // 2^53: exact-double ceiling
-      return fail(m->line, name, "too large to represent exactly (max 2^53)");
-    }
-    *out = static_cast<uint64_t>(m->number_value);
+    *out = static_cast<uint32_t>(v);
     return true;
   }
 
@@ -279,6 +468,43 @@ class ObjectReader {
     return true;
   }
 
+  // Reads this object's `section` rows into `scope`; a member the file
+  // omits keeps its default. Type and integer errors cite the member's
+  // line, range errors the object's.
+  bool fields(Section section, const Scope& scope) {
+    for (const Field& f : kFields) {
+      if (f.section != section) {
+        continue;
+      }
+      const Json* m = member(f.key);
+      if (m == nullptr) {
+        continue;
+      }
+      const bool flag = f.unit == Unit::kFlag;
+      if (flag ? !m->is_bool() : !m->is_number()) {
+        return fail(m->line, f.key,
+                    std::string(flag ? "expected a bool, got " : "expected a number, got ") +
+                        Json::type_name(m->type));
+      }
+      const double v = flag ? (m->bool_value ? 1.0 : 0.0) : m->number_value;
+      if (!check_value(f, v, m->line)) {
+        return false;
+      }
+      store(f, scope, v);
+    }
+    return true;
+  }
+
+  // value_error's two checks for a member of this object: an integer error
+  // cites the member's line, a range error the object's.
+  bool check_value(const Field& f, double v, int member_line) {
+    const std::string why = integer_error(f, v);
+    if (!why.empty()) {
+      return fail(member_line, f.key, why);
+    }
+    return f.range.contains(v) || fail(json_.line, f.key, f.range.rule);
+  }
+
   // Errors on members this reader never asked about.
   bool finish() {
     if (!ok_) {
@@ -304,7 +530,6 @@ class ObjectReader {
   std::set<std::string> consumed_;
   bool ok_ = true;
 };
-
 // One adversary trigger→action rule ({ trigger, action, phase?, factor? };
 // docs/adversaries.md). Shared by the adversary_policy section and the
 // tournament strategy tables. Phase-range and factor constraints are
@@ -397,8 +622,7 @@ std::string check_strategy_name(const std::string& name) {
 
 bool parse_phase(const Json& json, const std::string& source, size_t index,
                  adversary::AdversaryPhase* out, std::string* error) {
-  const std::string prefix = "adversary[" + std::to_string(index) + "]";
-  ObjectReader reader(json, source, prefix, error);
+  ObjectReader reader(json, source, "adversary[" + std::to_string(index) + "]", error);
   if (!reader.expect_object()) {
     return false;
   }
@@ -406,32 +630,19 @@ bool parse_phase(const Json& json, const std::string& source, size_t index,
   if (!reader.string("kind", &kind)) {
     return false;
   }
-  const Json* kind_member = json.find("kind");
   if (kind.empty()) {
     return reader.fail(json.line, "kind", "required (pipe_stoppage | admission_flood | "
                                           "brute_force | grade_recovery | vote_flood)");
   }
   if (!adversary::parse_phase_kind(kind, &out->kind)) {
-    return reader.fail(kind_member->line, "kind",
+    return reader.fail(json.find("kind")->line, "kind",
                        "unknown attack module '" + kind +
                            "' (expected pipe_stoppage | admission_flood | brute_force | "
                            "grade_recovery | vote_flood)");
   }
-  double attack_days = out->cadence.attack_duration.to_days();
-  double recuperation_days = out->cadence.recuperation.to_days();
-  double coverage_percent = out->cadence.coverage * 100.0;
-  double start_days = 0.0;
-  double stop_days = 0.0;
-  if (!reader.number("attack_days", &attack_days) ||
-      !reader.number("recuperation_days", &recuperation_days) ||
-      !reader.number("coverage_percent", &coverage_percent) ||
-      !reader.number("start_days", &start_days) || !reader.number("stop_days", &stop_days) ||
-      !reader.unsigned_int("minion_count", &out->minion_count) ||
-      !reader.unsigned_int("minion_id_base", &out->minion_id_base)) {
-    return false;
-  }
   std::string defection;
-  if (!reader.string("defection", &defection)) {
+  if (!reader.fields(Section::kPhase, Scope{.phase = out}) ||
+      !reader.string("defection", &defection)) {
     return false;
   }
   if (!defection.empty() && !parse_defection(defection, &out->defection)) {
@@ -439,19 +650,13 @@ bool parse_phase(const Json& json, const std::string& source, size_t index,
                        "unknown defection point '" + defection +
                            "' (expected INTRO | REMAINING | NONE)");
   }
-  out->cadence.attack_duration = sim::SimTime::days(attack_days);
-  out->cadence.recuperation = sim::SimTime::days(recuperation_days);
-  out->cadence.coverage = coverage_percent / 100.0;
-  out->start = sim::SimTime::days(start_days);
-  out->stop = sim::SimTime::days(stop_days);
   return reader.finish();
 }
 
 bool parse_axis(const Json& json, const std::string& source, size_t index,
                 const adversary::AdversaryPipeline& pipeline, SweepAxis* out,
                 std::string* error) {
-  const std::string prefix = "sweep[" + std::to_string(index) + "]";
-  ObjectReader reader(json, source, prefix, error);
+  ObjectReader reader(json, source, "sweep[" + std::to_string(index) + "]", error);
   if (!reader.expect_object()) {
     return false;
   }
@@ -465,9 +670,9 @@ bool parse_axis(const Json& json, const std::string& source, size_t index,
   if (out->param.empty()) {
     return reader.fail(json.line, "param", "required");
   }
-  const bool phase_level = is_phase_axis(out->param);
-  if (!phase_level && !is_deployment_axis(out->param) && !is_dynamics_axis(out->param) &&
-      !is_fault_axis(out->param) && find_protocol_param(out->param) == nullptr) {
+  const bool defection = out->param == "defection";
+  const Field* field = find_axis(out->param);
+  if (field == nullptr && !defection) {
     std::string known;
     for (const std::string& name : axis_params()) {
       known += (known.empty() ? "" : ", ") + name;
@@ -475,7 +680,7 @@ bool parse_axis(const Json& json, const std::string& source, size_t index,
     return reader.fail(json.find("param")->line, "param",
                        "unknown sweep parameter '" + out->param + "' (known: " + known + ")");
   }
-  if (phase_level && out->phase >= pipeline.size()) {
+  if ((defection || field->section == Section::kPhase) && out->phase >= pipeline.size()) {
     return reader.fail(json.line, "phase",
                        "phase index " + std::to_string(out->phase) +
                            " out of range (pipeline has " + std::to_string(pipeline.size()) +
@@ -486,25 +691,24 @@ bool parse_axis(const Json& json, const std::string& source, size_t index,
     return reader.fail(values != nullptr ? values->line : json.line, "values",
                        "required non-empty array");
   }
-  const bool expect_names = out->param == "defection";
   for (const Json& item : values->array_items) {
-    if (expect_names) {
+    if (defection) {
       adversary::DefectionPoint ignored;
       if (!item.is_string() || !parse_defection(item.string_value, &ignored)) {
         return reader.fail(item.line, "values",
                            "defection values must be INTRO | REMAINING | NONE strings");
       }
       out->names.push_back(item.string_value);
-    } else {
-      if (!item.is_number()) {
-        return reader.fail(item.line, "values", "expected numbers");
-      }
-      const std::string constraint = check_axis_value(out->param, item.number_value);
-      if (!constraint.empty()) {
-        return reader.fail(item.line, "values", constraint);
-      }
-      out->values.push_back(item.number_value);
+      continue;
     }
+    if (!item.is_number()) {
+      return reader.fail(item.line, "values", "expected numbers");
+    }
+    const std::string why = value_error(*field, item.number_value);
+    if (!why.empty()) {
+      return reader.fail(item.line, "values", "'" + out->param + "' " + why);
+    }
+    out->values.push_back(item.number_value);
   }
   if (out->label.empty() && !out->categorical()) {
     // Numeric axes need a prefix to tell "d30" from "c30"; categorical
@@ -523,82 +727,94 @@ std::string format_axis_value(const SweepAxis& axis, size_t index) {
   return buf;
 }
 
-// Applies one axis value onto a cell config. Parse-time validation already
-// guaranteed the param/phase are legal. Tournament strategy axes resolve
-// their names against the spec's strategy tables.
-void apply_axis_value(const Spec& spec, const SweepAxis& axis, size_t index,
-                      experiment::ScenarioConfig* config) {
-  if (axis.categorical()) {
-    if (axis.param == "adversary_strategy") {
-      // Shared knobs from the adversary_policy section; the rule table is
-      // the strategy's.
-      config->adversary_policy = spec.adversary_policy;
-      config->adversary_policy.policies = spec.adversary_strategies[index].policies;
-      return;
-    }
-    if (axis.param == "operator_strategy") {
-      config->operators = spec.operator_strategies[index].operators;
-      return;
-    }
-    // defection
-    adversary::DefectionPoint point = adversary::DefectionPoint::kNone;
-    parse_defection(axis.names[index], &point);
-    config->adversary[axis.phase].defection = point;
-    return;
+// Sets one axis coordinate on a cell's copy of the spec. A protocol value
+// becomes one more override, applied after the spec's own. Tournament
+// strategy axes swap in their strategy's rule table or operator config.
+void set_axis_value(const Spec& spec, const SweepAxis& axis, size_t index, Spec* cell) {
+  if (axis.param == "adversary_strategy") {
+    cell->adversary_policy.policies = spec.adversary_strategies[index].policies;
+  } else if (axis.param == "operator_strategy") {
+    cell->operators = spec.operator_strategies[index].operators;
+  } else if (axis.categorical()) {
+    parse_defection(axis.names[index], &cell->pipeline[axis.phase].defection);
+  } else if (const Field* f = find_axis(axis.param); f->section == Section::kProtocol) {
+    cell->protocol_overrides.emplace_back(f->key, axis.values[index]);
+  } else {
+    adversary::AdversaryPhase* phase =
+        f->section == Section::kPhase ? &cell->pipeline[axis.phase] : nullptr;
+    store(*f, Scope{cell, phase, &cell->operators, nullptr}, axis.values[index]);
   }
-  const double v = axis.values[index];
-  if (is_phase_axis(axis.param)) {
-    adversary::AdversaryPhase& phase = config->adversary[axis.phase];
-    if (axis.param == "attack_days") {
-      phase.cadence.attack_duration = sim::SimTime::days(v);
-    } else if (axis.param == "recuperation_days") {
-      phase.cadence.recuperation = sim::SimTime::days(v);
-    } else if (axis.param == "coverage_percent") {
-      phase.cadence.coverage = v / 100.0;
-    } else if (axis.param == "start_days") {
-      phase.start = sim::SimTime::days(v);
-    } else if (axis.param == "stop_days") {
-      phase.stop = sim::SimTime::days(v);
-    } else if (axis.param == "minion_count") {
-      phase.minion_count = static_cast<uint32_t>(v);
+}
+
+// Applies a spec's protocol overrides in order. Returns the first name that
+// is unknown or out of range ("" = all applied): parse_spec vets them, but
+// a hand-built Spec may not have gone through it.
+std::string apply_overrides(const Spec& spec, protocol::Params* params) {
+  for (const auto& [name, value] : spec.protocol_overrides) {
+    const Field* f = find_field(Section::kProtocol, name);
+    if (f == nullptr || !value_error(*f, value).empty()) {
+      return name;
     }
-    return;
+    store(*f, Scope{.params = params}, value);
   }
-  if (axis.param == "churn_leave_rate") {
-    config->churn.leave_rate_per_peer_year = v;
-  } else if (axis.param == "churn_crash_rate") {
-    config->churn.crash_rate_per_peer_year = v;
-  } else if (axis.param == "churn_mean_downtime_days") {
-    config->churn.mean_downtime_days = v;
-  } else if (axis.param == "churn_arrival_rate") {
-    config->churn.arrival_rate_per_year = v;
-  } else if (axis.param == "regional_outage_rate") {
-    config->churn.regional_outage_rate_per_year = v;
-  } else if (axis.param == "detection_latency_days") {
-    config->operators.detection_latency = sim::SimTime::days(v);
-  } else if (axis.param == "loss_rate") {
-    config->faults.loss_rate = v;
-  } else if (axis.param == "dup_rate") {
-    config->faults.dup_rate = v;
-  } else if (axis.param == "jitter_ms") {
-    config->faults.jitter = sim::SimTime::seconds(v / 1000.0);
-  } else if (axis.param == "burst_outage_rate") {
-    config->faults.burst_outage_rate = v;
-  } else if (axis.param == "peers") {
-    config->peer_count = static_cast<uint32_t>(v);
-  } else if (axis.param == "aus") {
-    config->au_count = static_cast<uint32_t>(v);
-  } else if (axis.param == "au_coverage") {
-    config->au_coverage = v;
-  } else if (axis.param == "newcomers") {
-    config->newcomer_count = static_cast<uint32_t>(v);
-  } else if (axis.param == "newcomer_window_days") {
-    config->newcomer_join_window = sim::SimTime::days(v);
-  } else if (axis.param == "duration_years") {
-    config->duration = sim::SimTime::years(v);
-  } else if (const ProtocolParam* param = find_protocol_param(axis.param)) {
-    param->apply(config->params, v);
+  return "";
+}
+
+void write_adversary_rules(const std::vector<adversary::AdversaryPolicy>& rules, JsonWriter& w) {
+  w.begin_array();
+  for (const adversary::AdversaryPolicy& rule : rules) {
+    w.begin_object();
+    w.key("trigger").value(adversary::policy_trigger_name(rule.trigger));
+    w.key("action").value(adversary::policy_action_name(rule.action));
+    w.key("phase").value(static_cast<uint64_t>(rule.phase));
+    w.key("factor").value(rule.factor);
+    w.end_object();
   }
+  w.end_array();
+}
+
+void write_operator_rules(const std::vector<dynamics::OperatorPolicy>& rules, JsonWriter& w) {
+  w.begin_array();
+  for (const dynamics::OperatorPolicy& rule : rules) {
+    w.begin_object();
+    w.key("trigger").value(dynamics::operator_trigger_name(rule.trigger));
+    w.key("action").value(dynamics::operator_action_name(rule.action));
+    w.key("factor").value(rule.factor);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+// The deployment-wide part of a spec (all but the adversary pipeline) as a
+// scenario config.
+bool lower(const Spec& spec, experiment::ScenarioConfig* c, std::string* error) {
+  c->peer_count = spec.peers;
+  c->au_count = spec.aus;
+  c->au_coverage = spec.au_coverage;
+  c->newcomer_count = spec.newcomers;
+  c->newcomer_join_window = spec.newcomer_join_window;
+  c->duration = spec.duration;
+  c->seed = spec.seed;
+  c->enable_damage = spec.enable_damage;
+  c->damage.mean_disk_years_between_failures = spec.damage_mtbf_disk_years;
+  c->damage.aus_per_disk = spec.damage_aus_per_disk;
+  c->trace_interval = spec.trace_interval;
+  // Dynamics are deployment properties, like newcomers: the adversary-free
+  // baseline churns exactly as the attack cells do — and so is the
+  // network, faults included (a lossy campaign's baseline is lossy too).
+  c->churn = spec.churn;
+  c->operators = spec.operators;
+  c->adversary_policy = spec.adversary_policy;
+  c->network = spec.network;
+  c->faults = spec.faults;
+  c->obs_trace = spec.obs_trace;
+  c->obs_profile = spec.obs_profile;
+  const std::string bad = apply_overrides(spec, &c->params);
+  if (!bad.empty()) {
+    *error = spec.source_path + ": unknown or out-of-range protocol override '" + bad + "'";
+    return false;
+  }
+  return true;
 }
 
 // One `outputs.figure` entry (the member holds one such object or an array
@@ -652,66 +868,113 @@ bool parse_figure(const Json& json, const std::string& source, const std::string
 
 std::vector<std::string> axis_params() {
   std::vector<std::string> out;
-  for (const char* name : kDeploymentAxes) {
-    out.push_back(name);
+  for (const Field& f : kFields) {
+    if (f.axis != nullptr) {
+      out.push_back(axis_name(f));
+    }
   }
-  for (const char* name : kPhaseAxes) {
-    out.push_back(name);
-  }
-  for (const char* name : kDynamicsAxes) {
-    out.push_back(name);
-  }
-  for (const char* name : kFaultAxes) {
-    out.push_back(name);
-  }
-  for (const ProtocolParam& entry : kProtocolParams) {
-    out.push_back(entry.name);
-  }
+  out.push_back("defection");  // categorical, per phase
   return out;
 }
 
 std::vector<std::string> protocol_params() {
   std::vector<std::string> out;
-  for (const ProtocolParam& entry : kProtocolParams) {
-    out.push_back(entry.name);
+  for (const Field& f : kFields) {
+    if (f.section == Section::kProtocol) {
+      out.push_back(f.key);
+    }
   }
   return out;
 }
 
-bool spec_is_dynamic(const Spec& spec) {
-  if (spec.churn.enabled() || spec.operators.enabled()) {
-    return true;
+void write_spec_echo(const Spec& spec, bool exact, JsonWriter* out) {
+  JsonWriter& w = *out;
+  // The echo reads through the slots the readers write through, so it
+  // works on a copy. The protocol section is the effective parameter set.
+  Spec s = spec;
+  protocol::Params params;
+  apply_overrides(s, &params);
+  const Scope scope{&s, nullptr, &s.operators, &params};
+  const auto open_section = [&](Section section) {
+    w.key(section_name(section)).begin_object();
+    write_fields(section, scope, exact, w);
+  };
+  w.begin_object();
+  w.key("name").value(s.name);
+  write_fields(Section::kTop, scope, exact, w);
+  for (Section section : {Section::kDeployment, Section::kDamage, Section::kProtocol,
+                          Section::kDynamics, Section::kNetwork, Section::kFaults}) {
+    open_section(section);
+    w.end_object();
   }
-  for (const SweepAxis& axis : spec.axes) {
-    if (is_dynamics_axis(axis.param)) {
-      return true;
+  open_section(Section::kOperators);
+  w.key("policies");
+  write_operator_rules(s.operators.policies, w);
+  w.end_object();
+  open_section(Section::kObservability);
+  w.key("kinds").begin_array();
+  for (const KindGroup& group : kKindGroups) {
+    if ((s.obs_trace.kind_mask & group.mask) == group.mask) {
+      w.value(group.name);
     }
   }
-  // A tournament's operator strategies enable the operator engine per cell.
-  for (const Spec::OperatorStrategy& strategy : spec.operator_strategies) {
-    if (strategy.operators.enabled()) {
-      return true;
+  w.end_array();
+  w.end_object();
+  w.key(section_name(Section::kPhase)).begin_array();
+  for (adversary::AdversaryPhase& phase : s.pipeline) {
+    w.begin_object();
+    w.key("kind").value(adversary::phase_kind_name(phase.kind));
+    write_fields(Section::kPhase, Scope{.phase = &phase}, exact, w);
+    w.key("defection").value(adversary::defection_point_name(phase.defection));
+    w.end_object();
+  }
+  w.end_array();
+  open_section(Section::kAdversaryPolicy);
+  w.key("policies");
+  write_adversary_rules(s.adversary_policy.policies, w);
+  w.end_object();
+  w.key("tournament").begin_object();
+  w.key("payoff").value(s.payoff_name);
+  w.key("adversary_strategies").begin_array();
+  for (const Spec::AdversaryStrategy& strategy : s.adversary_strategies) {
+    w.begin_object();
+    w.key("name").value(strategy.name);
+    w.key("policies");
+    write_adversary_rules(strategy.policies, w);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("operator_strategies").begin_array();
+  for (Spec::OperatorStrategy& strategy : s.operator_strategies) {
+    w.begin_object();
+    w.key("name").value(strategy.name);
+    write_fields(Section::kOperators, Scope{.operators = &strategy.operators}, exact, w);
+    w.key("policies");
+    write_operator_rules(strategy.operators.policies, w);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  // Every axis in grid order, a tournament's two strategy axes included.
+  w.key("sweep").begin_array();
+  for (const SweepAxis& axis : s.axes) {
+    w.begin_object();
+    w.key("param").value(axis.param);
+    w.key("phase").value(static_cast<uint64_t>(axis.phase));
+    w.key("label").value(axis.label);
+    w.key("values").begin_array();
+    for (size_t i = 0; i < axis.size(); ++i) {
+      if (axis.categorical()) {
+        w.value(axis.names[i]);
+      } else {
+        w.value(axis.values[i]);
+      }
     }
+    w.end_array();
+    w.end_object();
   }
-  return false;
-}
-
-bool spec_has_faults(const Spec& spec) {
-  if (spec.faults.enabled()) {
-    return true;
-  }
-  for (const SweepAxis& axis : spec.axes) {
-    if (is_fault_axis(axis.param)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool spec_has_trace(const Spec& spec) { return spec.obs_trace.enabled; }
-
-bool spec_has_policies(const Spec& spec) {
-  return spec.adversary_policy.enabled() || spec.tournament;
+  w.end_array();
+  w.end_object();
 }
 
 bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
@@ -732,285 +995,138 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
     return reader.fail(json.find("name")->line, "name",
                        "must not contain '/' or spaces (used in output file names)");
   }
-
-  // deployment
-  if (const Json* deployment = reader.member("deployment")) {
-    ObjectReader d(*deployment, source_path, "deployment", error);
-    double duration_years = out->duration.to_days() / 365.0;
-    double newcomer_window_days = out->newcomer_join_window.to_days();
-    if (!d.expect_object() || !d.unsigned_int("peers", &out->peers) ||
-        !d.unsigned_int("aus", &out->aus) || !d.number("au_coverage", &out->au_coverage) ||
-        !d.unsigned_int("newcomers", &out->newcomers) ||
-        !d.number("newcomer_window_days", &newcomer_window_days) ||
-        !d.number("duration_years", &duration_years) ||
-        !d.unsigned_int64("seed", &out->seed) || !d.unsigned_int("seeds", &out->seeds) ||
-        !d.unsigned_int("layers", &out->layers) || !d.finish()) {
-      return false;
-    }
-    out->duration = sim::SimTime::years(duration_years);
-    out->newcomer_join_window = sim::SimTime::days(newcomer_window_days);
-    if (out->peers == 0) {
-      return d.fail(deployment->line, "peers", "must be >= 1");
-    }
-    if (out->aus == 0) {
-      return d.fail(deployment->line, "aus", "must be >= 1");
-    }
-    if (out->seeds == 0) {
-      return d.fail(deployment->line, "seeds", "must be >= 1");
-    }
-    if (out->duration <= sim::SimTime::zero()) {
-      return d.fail(deployment->line, "duration_years", "must be positive");
-    }
-    if (out->au_coverage <= 0.0 || out->au_coverage > 1.0) {
-      return d.fail(deployment->line, "au_coverage", "must be within (0, 1]");
-    }
+  const Scope scope{out, nullptr, &out->operators, nullptr};
+  if (!reader.fields(Section::kTop, scope)) {
+    return false;
   }
 
-  // damage
-  if (const Json* damage = reader.member("damage")) {
-    ObjectReader d(*damage, source_path, "damage", error);
-    if (!d.expect_object() || !d.boolean("enabled", &out->enable_damage) ||
-        !d.number("mean_disk_years_between_failures", &out->damage_mtbf_disk_years) ||
-        !d.number("aus_per_disk", &out->damage_aus_per_disk) || !d.finish()) {
-      return false;
+  // One optional section: its table rows, then `rest` (hand-written members
+  // and cross-field rules), then the unknown-member check. Sections are read
+  // in dependency order (deployment before tracing, network before faults).
+  const auto read_section = [&](Section which, auto&& rest) {
+    const Json* section = reader.member(section_name(which));
+    if (section == nullptr) {
+      return true;
     }
-    if (out->damage_mtbf_disk_years <= 0.0 || out->damage_aus_per_disk <= 0.0) {
-      return d.fail(damage->line, "mean_disk_years_between_failures", "must be positive");
-    }
+    ObjectReader r(*section, source_path, section_name(which), error);
+    return r.expect_object() && r.fields(which, scope) && rest(r, *section) && r.finish();
+  };
+  const auto no_rules = [](ObjectReader&, const Json&) { return true; };
+  const sim::SimTime zero = sim::SimTime::zero();
+  if (!read_section(Section::kDeployment, no_rules) ||
+      !read_section(Section::kDamage, no_rules)) {
+    return false;
   }
-
-  // deployment dynamics
-  if (const Json* dyn = reader.member("dynamics")) {
-    ObjectReader d(*dyn, source_path, "dynamics", error);
-    if (!d.expect_object() ||
-        !d.number("leave_rate_per_peer_year", &out->churn.leave_rate_per_peer_year) ||
-        !d.number("crash_rate_per_peer_year", &out->churn.crash_rate_per_peer_year) ||
-        !d.number("mean_downtime_days", &out->churn.mean_downtime_days) ||
-        !d.number("arrival_rate_per_year", &out->churn.arrival_rate_per_year) ||
-        !d.unsigned_int("regions", &out->churn.regions) ||
-        !d.number("regional_outage_rate_per_year",
-                  &out->churn.regional_outage_rate_per_year) ||
-        !d.number("regional_outage_days", &out->churn.regional_outage_days) ||
-        !d.number("regional_recovery_stagger_hours",
-                  &out->churn.regional_recovery_stagger_hours) ||
-        !d.boolean("regional_state_loss", &out->churn.regional_state_loss) || !d.finish()) {
-      return false;
-    }
-    if (out->churn.leave_rate_per_peer_year < 0.0) {
-      return d.fail(dyn->line, "leave_rate_per_peer_year", "must be non-negative");
-    }
-    if (out->churn.crash_rate_per_peer_year < 0.0) {
-      return d.fail(dyn->line, "crash_rate_per_peer_year", "must be non-negative");
-    }
-    if (out->churn.arrival_rate_per_year < 0.0) {
-      return d.fail(dyn->line, "arrival_rate_per_year", "must be non-negative");
-    }
-    if (out->churn.mean_downtime_days <= 0.0) {
-      return d.fail(dyn->line, "mean_downtime_days", "must be positive");
-    }
-    if (out->churn.regional_outage_rate_per_year < 0.0) {
-      return d.fail(dyn->line, "regional_outage_rate_per_year", "must be non-negative");
-    }
-    if (out->churn.regional_outage_days <= 0.0) {
-      return d.fail(dyn->line, "regional_outage_days", "must be positive");
-    }
-    if (out->churn.regional_recovery_stagger_hours < 0.0) {
-      return d.fail(dyn->line, "regional_recovery_stagger_hours", "must be non-negative");
-    }
-    if (out->churn.regional_outage_rate_per_year > 0.0 && out->churn.regions == 0) {
-      return d.fail(dyn->line, "regions",
-                    "required (>= 1) when regional_outage_rate_per_year is set");
-    }
+  if (!read_section(Section::kDynamics, [&](ObjectReader& r, const Json& section) {
+        return out->churn.regional_outage_rate_per_year <= 0.0 || out->churn.regions > 0 ||
+               r.fail(section.line, "regions",
+                      "required (>= 1) when regional_outage_rate_per_year is set");
+      })) {
+    return false;
   }
-
-  // operator response
-  if (const Json* operators = reader.member("operators")) {
-    ObjectReader o(*operators, source_path, "operators", error);
-    double detection_latency_days = out->operators.detection_latency.to_days();
-    if (!o.expect_object() || !o.number("detection_latency_days", &detection_latency_days) ||
-        !o.number("recrawl_cost_factor", &out->operators.recrawl_cost_factor)) {
-      return false;
-    }
-    if (detection_latency_days < 0.0) {
-      return o.fail(operators->line, "detection_latency_days", "must be non-negative");
-    }
-    if (out->operators.recrawl_cost_factor <= 0.0) {
-      return o.fail(operators->line, "recrawl_cost_factor", "must be positive");
-    }
-    out->operators.detection_latency = sim::SimTime::days(detection_latency_days);
-    const Json* policies = o.member("policies");
-    if (policies == nullptr || !policies->is_array() || policies->array_items.empty()) {
-      return o.fail(policies != nullptr ? policies->line : operators->line, "policies",
-                    "required non-empty array of { trigger, action } objects");
-    }
-    for (size_t i = 0; i < policies->array_items.size(); ++i) {
-      const std::string prefix = "operators.policies[" + std::to_string(i) + "]";
-      dynamics::OperatorPolicy policy;
-      if (!parse_operator_policy_entry(policies->array_items[i], source_path, prefix, &policy,
-                                       error)) {
-        return false;
-      }
-      out->operators.policies.push_back(policy);
-    }
-    if (!o.finish()) {
-      return false;
-    }
+  if (!read_section(Section::kOperators, [&](ObjectReader& r, const Json& section) {
+        const Json* policies = r.member("policies");
+        if (policies == nullptr || !policies->is_array() || policies->array_items.empty()) {
+          return r.fail(policies != nullptr ? policies->line : section.line, "policies",
+                        "required non-empty array of { trigger, action } objects");
+        }
+        for (size_t i = 0; i < policies->array_items.size(); ++i) {
+          dynamics::OperatorPolicy policy;
+          if (!parse_operator_policy_entry(policies->array_items[i], source_path,
+                                           "operators.policies[" + std::to_string(i) + "]",
+                                           &policy, error)) {
+            return false;
+          }
+          out->operators.policies.push_back(policy);
+        }
+        return true;
+      })) {
+    return false;
   }
-
-  // network topology
-  if (const Json* network = reader.member("network")) {
-    ObjectReader n(*network, source_path, "network", error);
-    double min_latency_ms = out->network.min_latency.to_seconds() * 1000.0;
-    double max_latency_ms = out->network.max_latency.to_seconds() * 1000.0;
-    if (!n.expect_object() || !n.number("min_latency_ms", &min_latency_ms) ||
-        !n.number("max_latency_ms", &max_latency_ms) || !n.finish()) {
-      return false;
-    }
-    if (min_latency_ms < 0.0) {
-      return n.fail(network->line, "min_latency_ms", "must be non-negative");
-    }
-    if (max_latency_ms < min_latency_ms) {
-      return n.fail(network->line, "max_latency_ms", "must be >= min_latency_ms");
-    }
-    out->network.min_latency = sim::SimTime::seconds(min_latency_ms / 1000.0);
-    out->network.max_latency = sim::SimTime::seconds(max_latency_ms / 1000.0);
+  if (!read_section(Section::kNetwork, [&](ObjectReader& r, const Json& section) {
+        return out->network.max_latency >= out->network.min_latency ||
+               r.fail(section.line, "max_latency_ms", "must be >= min_latency_ms");
+      })) {
+    return false;
   }
-
-  // unreliable-link faults (docs/faults.md)
-  if (const Json* faults = reader.member("network_faults")) {
-    ObjectReader f(*faults, source_path, "network_faults", error);
-    out->faults_section = true;
-    double jitter_ms = 0.0;
-    double burst_cycle_days = out->faults.burst_cycle.to_days();
-    if (!f.expect_object() || !f.number("loss_rate", &out->faults.loss_rate) ||
-        !f.number("dup_rate", &out->faults.dup_rate) || !f.number("jitter_ms", &jitter_ms) ||
-        !f.number("burst_outage_rate", &out->faults.burst_outage_rate) ||
-        !f.number("burst_cycle_days", &burst_cycle_days) || !f.finish()) {
-      return false;
-    }
-    if (out->faults.loss_rate < 0.0 || out->faults.loss_rate > 1.0) {
-      return f.fail(faults->line, "loss_rate", "must be within [0, 1]");
-    }
-    if (out->faults.dup_rate < 0.0 || out->faults.dup_rate > 1.0) {
-      return f.fail(faults->line, "dup_rate", "must be within [0, 1]");
-    }
-    if (out->faults.burst_outage_rate < 0.0 || out->faults.burst_outage_rate > 1.0) {
-      return f.fail(faults->line, "burst_outage_rate", "must be within [0, 1]");
-    }
-    if (jitter_ms < 0.0) {
-      return f.fail(faults->line, "jitter_ms", "must be non-negative");
-    }
-    if (jitter_ms > 0.0 && out->network.min_latency <= sim::SimTime::zero()) {
-      // Jitter rides on top of the propagation latency; with a zero
-      // minimum there is no delay floor for the sharded lookahead contract
-      // to stand on (docs/faults.md).
-      return f.fail(faults->line, "jitter_ms",
-                    "jitter needs network.min_latency_ms > 0 (zero-latency networks have no "
-                    "delay floor for delivery jitter to ride on)");
-    }
-    if (burst_cycle_days <= 0.0) {
-      return f.fail(faults->line, "burst_cycle_days", "must be positive");
-    }
-    out->faults.jitter = sim::SimTime::seconds(jitter_ms / 1000.0);
-    out->faults.burst_cycle = sim::SimTime::days(burst_cycle_days);
+  if (!read_section(Section::kFaults, [&](ObjectReader& r, const Json& section) {
+        out->faults_section = true;
+        // Jitter rides on top of the propagation latency; with a zero
+        // minimum there is no delay floor for the sharded lookahead
+        // contract to stand on (docs/faults.md).
+        return out->faults.jitter <= zero || out->network.min_latency > zero ||
+               r.fail(section.line, "jitter_ms",
+                      "jitter needs network.min_latency_ms > 0 (zero-latency networks have no "
+                      "delay floor for delivery jitter to ride on)");
+      })) {
+    return false;
   }
-
   // observability: protocol event tracing + self-profiling
   // (docs/observability.md)
-  if (const Json* observability = reader.member("observability")) {
-    ObjectReader o(*observability, source_path, "observability", error);
-    uint64_t ring_capacity = 0;
-    if (!o.expect_object() || !o.boolean("trace", &out->obs_trace.enabled) ||
-        !o.number("sample_rate", &out->obs_trace.sample_rate) ||
-        !o.unsigned_int64("ring_capacity", &ring_capacity) ||
-        !o.boolean("profile", &out->obs_profile)) {
-      return false;
-    }
-    if (out->obs_trace.sample_rate < 0.0 || out->obs_trace.sample_rate > 1.0) {
-      return o.fail(observability->line, "sample_rate", "must be within [0, 1]");
-    }
-    out->obs_trace.ring_capacity = static_cast<size_t>(ring_capacity);
-    if (const Json* kinds = o.member("kinds")) {
-      if (!kinds->is_array()) {
-        return o.fail(kinds->line, "kinds",
-                      "expected an array of event-group names "
-                      "(poll | voter | churn | operator | fault | adversary)");
-      }
-      uint32_t mask = 0;
-      for (const Json& item : kinds->array_items) {
-        if (!item.is_string()) {
-          return o.fail(item.line, "kinds", "expected strings");
+  if (!read_section(Section::kObservability, [&](ObjectReader& r, const Json& section) {
+        if (const Json* kinds = r.member("kinds")) {
+          if (!kinds->is_array()) {
+            return r.fail(kinds->line, "kinds",
+                          "expected an array of event-group names "
+                          "(poll | voter | churn | operator | fault | adversary)");
+          }
+          out->obs_trace.kind_mask = 0;
+          for (const Json& item : kinds->array_items) {
+            if (!item.is_string()) {
+              return r.fail(item.line, "kinds", "expected strings");
+            }
+            const KindGroup* group =
+                std::find_if(std::begin(kKindGroups), std::end(kKindGroups),
+                             [&](const KindGroup& g) { return item.string_value == g.name; });
+            if (group == std::end(kKindGroups)) {
+              return r.fail(item.line, "kinds",
+                            "unknown event group '" + item.string_value +
+                                "' (expected poll | voter | churn | operator | fault | "
+                                "adversary)");
+            }
+            out->obs_trace.kind_mask |= group->mask;
+          }
         }
-        if (item.string_value == "poll") {
-          mask |= obs::kMaskPoll;
-        } else if (item.string_value == "voter") {
-          mask |= obs::kMaskVoter;
-        } else if (item.string_value == "churn") {
-          mask |= obs::kMaskChurn;
-        } else if (item.string_value == "operator") {
-          mask |= obs::kMaskOperator;
-        } else if (item.string_value == "fault") {
-          mask |= obs::kMaskFault;
-        } else if (item.string_value == "adversary") {
-          mask |= obs::kMaskAdversary;
-        } else {
-          return o.fail(item.line, "kinds",
-                        "unknown event group '" + item.string_value +
-                            "' (expected poll | voter | churn | operator | fault | "
-                            "adversary)");
+        // Trace artifacts are one-file-per-unit snapshots of a single run; a
+        // seed-replicated or layered unit aggregates several runs and has no
+        // single trace to write.
+        if (out->obs_trace.enabled && out->seeds > 1) {
+          return r.fail(section.line, "trace",
+                        "tracing requires deployment.seeds == 1 (one trace file per unit)");
         }
-      }
-      out->obs_trace.kind_mask = mask;
-    }
-    if (!o.finish()) {
-      return false;
-    }
-    // Trace artifacts are one-file-per-unit snapshots of a single run; a
-    // seed-replicated or layered unit aggregates several runs and has no
-    // single trace to write.
-    if (out->obs_trace.enabled && out->seeds > 1) {
-      return o.fail(observability->line, "trace",
-                    "tracing requires deployment.seeds == 1 (one trace file per unit)");
-    }
-    if (out->obs_trace.enabled && out->layers > 0) {
-      return o.fail(observability->line, "trace",
-                    "tracing is not supported with deployment.layers (layered units "
-                    "aggregate several runs)");
-    }
+        return !out->obs_trace.enabled || out->layers == 0 ||
+               r.fail(section.line, "trace",
+                      "tracing is not supported with deployment.layers (layered units "
+                      "aggregate several runs)");
+      })) {
+    return false;
   }
 
-  // protocol overrides
+  // protocol overrides, by name in file order
   if (const Json* protocol = reader.member("protocol")) {
     ObjectReader p(*protocol, source_path, "protocol", error);
     if (!p.expect_object()) {
       return false;
     }
     for (const auto& [name, value] : protocol->object_members) {
-      if (find_protocol_param(name) == nullptr) {
+      const Field* f = find_field(Section::kProtocol, name);
+      if (f == nullptr) {
         std::string known;
         for (const std::string& k : protocol_params()) {
           known += (known.empty() ? "" : ", ") + k;
         }
-        return p.fail(value.line, name,
-                      "unknown protocol parameter (known: " + known + ")");
+        return p.fail(value.line, name, "unknown protocol parameter (known: " + known + ")");
       }
-      double v = 0.0;
-      if (value.is_bool()) {
-        v = value.bool_value ? 1.0 : 0.0;
-      } else if (value.is_number()) {
-        v = value.number_value;
-      } else {
+      if (!value.is_bool() && !value.is_number()) {
         return p.fail(value.line, name, "expected a number or bool");
+      }
+      const double v = value.is_bool() ? (value.bool_value ? 1.0 : 0.0) : value.number_value;
+      if (!p.check_value(*f, v, value.line)) {
+        return false;
       }
       out->protocol_overrides.emplace_back(name, v);
     }
   }
-
-  double trace_days = 0.0;
-  if (!reader.number("trace_days", &trace_days)) {
-    return false;
-  }
-  out->trace_interval = sim::SimTime::days(trace_days);
 
   // adversary pipeline
   if (const Json* adversary_json = reader.member("adversary")) {
@@ -1035,49 +1151,25 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
   // adaptive adversary policies (docs/adversaries.md). The non-empty-table
   // and pipeline-shape checks run after the tournament section below: a
   // tournament spec may use this section for knobs only.
-  const Json* adversary_policy_json = reader.member("adversary_policy");
-  if (adversary_policy_json != nullptr) {
-    ObjectReader a(*adversary_policy_json, source_path, "adversary_policy", error);
-    adversary::AdversaryPolicyConfig& pol = out->adversary_policy;
-    double reaction_latency_hours = pol.reaction_latency.to_seconds() / 3600.0;
-    double sensor_interval_days = pol.sensor_interval.to_days();
-    double cooldown_days = pol.cooldown.to_days();
-    double dormant_mean_days = pol.dormant_mean.to_days();
-    double throttle_pause_days = pol.throttle_pause.to_days();
-    if (!a.expect_object() ||
-        !a.number("reaction_latency_hours", &reaction_latency_hours) ||
-        !a.number("sensor_interval_days", &sensor_interval_days) ||
-        !a.number("cooldown_days", &cooldown_days) ||
-        !a.number("outage_threshold", &pol.outage_threshold) ||
-        !a.number("backoff_threshold", &pol.backoff_threshold) ||
-        !a.number("collapse_threshold", &pol.collapse_threshold) ||
-        !a.number("dormant_mean_days", &dormant_mean_days) ||
-        !a.number("throttle_pause_days", &throttle_pause_days)) {
-      return false;
-    }
-    pol.reaction_latency = sim::SimTime::hours(reaction_latency_hours);
-    pol.sensor_interval = sim::SimTime::days(sensor_interval_days);
-    pol.cooldown = sim::SimTime::days(cooldown_days);
-    pol.dormant_mean = sim::SimTime::days(dormant_mean_days);
-    pol.throttle_pause = sim::SimTime::days(throttle_pause_days);
-    if (const Json* policies = a.member("policies")) {
-      if (!policies->is_array()) {
-        return a.fail(policies->line, "policies",
-                      "expected an array of { trigger, action } objects");
-      }
-      for (size_t i = 0; i < policies->array_items.size(); ++i) {
-        const std::string prefix = "adversary_policy.policies[" + std::to_string(i) + "]";
-        adversary::AdversaryPolicy rule;
-        if (!parse_adversary_policy_rule(policies->array_items[i], source_path, prefix, &rule,
-                                         error)) {
-          return false;
+  const Json* adversary_policy_json = json.find("adversary_policy");
+  if (!read_section(Section::kAdversaryPolicy, [&](ObjectReader& r, const Json&) {
+        const Json* policies = r.member("policies");
+        if (policies != nullptr && !policies->is_array()) {
+          return r.fail(policies->line, "policies",
+                        "expected an array of { trigger, action } objects");
         }
-        out->adversary_policy.policies.push_back(rule);
-      }
-    }
-    if (!a.finish()) {
-      return false;
-    }
+        for (size_t i = 0; policies != nullptr && i < policies->array_items.size(); ++i) {
+          adversary::AdversaryPolicy rule;
+          if (!parse_adversary_policy_rule(policies->array_items[i], source_path,
+                                           "adversary_policy.policies[" + std::to_string(i) + "]",
+                                           &rule, error)) {
+            return false;
+          }
+          out->adversary_policy.policies.push_back(rule);
+        }
+        return true;
+      })) {
+    return false;
   }
 
   // sweep axes
@@ -1103,7 +1195,8 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
                  std::to_string(i) + "].param: " + reason;
         return false;
       };
-      if (is_fault_axis(axis.param) && !out->faults_section) {
+      const Field* field = find_axis(axis.param);
+      if (field != nullptr && field->section == Section::kFaults && !out->faults_section) {
         return axis_fail("'" + axis.param +
                          "' sweeps need a network_faults section (even an all-zero one) so "
                          "the campaign states its fault model explicitly");
@@ -1223,10 +1316,8 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
       ObjectReader s(entry, source_path, prefix, error);
       Spec::OperatorStrategy strategy;
       strategy.line = entry.line;
-      double detection_latency_days = strategy.operators.detection_latency.to_days();
       if (!s.expect_object() || !s.string("name", &strategy.name) ||
-          !s.number("detection_latency_days", &detection_latency_days) ||
-          !s.number("recrawl_cost_factor", &strategy.operators.recrawl_cost_factor)) {
+          !s.fields(Section::kOperators, Scope{.operators = &strategy.operators})) {
         return false;
       }
       const std::string name_error = check_strategy_name(strategy.name);
@@ -1234,13 +1325,6 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
         const Json* m = entry.find("name");
         return s.fail(m != nullptr ? m->line : entry.line, "name", name_error);
       }
-      if (detection_latency_days < 0.0) {
-        return s.fail(entry.line, "detection_latency_days", "must be non-negative");
-      }
-      if (strategy.operators.recrawl_cost_factor <= 0.0) {
-        return s.fail(entry.line, "recrawl_cost_factor", "must be positive");
-      }
-      strategy.operators.detection_latency = sim::SimTime::days(detection_latency_days);
       if (const Json* policies = s.member("policies")) {
         if (!policies->is_array()) {
           return s.fail(policies->line, "policies",
@@ -1312,10 +1396,6 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
     }
   }
 
-  if (!reader.boolean("baseline", &out->baseline)) {
-    return false;
-  }
-
   // outputs
   out->manifest_name = out->name + ".manifest.json";
   out->cells_name = out->name + ".cells.csv";
@@ -1369,40 +1449,9 @@ bool load_spec_file(const std::string& path, Spec* out, std::string* error) {
 bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* error) {
   out->spec = spec;
   out->cells.clear();
-
-  experiment::ScenarioConfig base;
-  base.peer_count = spec.peers;
-  base.au_count = spec.aus;
-  base.au_coverage = spec.au_coverage;
-  base.newcomer_count = spec.newcomers;
-  base.newcomer_join_window = spec.newcomer_join_window;
-  base.duration = spec.duration;
-  base.seed = spec.seed;
-  base.enable_damage = spec.enable_damage;
-  base.damage.mean_disk_years_between_failures = spec.damage_mtbf_disk_years;
-  base.damage.aus_per_disk = spec.damage_aus_per_disk;
-  base.trace_interval = spec.trace_interval;
-  // Dynamics are deployment properties, like newcomers: the adversary-free
-  // baseline churns exactly as the attack cells do — and so is the
-  // network, faults included (a lossy campaign's baseline is lossy too).
-  base.churn = spec.churn;
-  base.operators = spec.operators;
-  base.adversary_policy = spec.adversary_policy;
-  base.network = spec.network;
-  base.faults = spec.faults;
-  base.obs_trace = spec.obs_trace;
-  base.obs_profile = spec.obs_profile;
-  for (const auto& [name, value] : spec.protocol_overrides) {
-    // parse_spec vets override names, but a hand-built Spec may not have
-    // gone through it; diagnose instead of dereferencing null.
-    const ProtocolParam* param = find_protocol_param(name);
-    if (param == nullptr) {
-      *error = spec.source_path + ": unknown protocol override '" + name + "'";
-      return false;
-    }
-    param->apply(base.params, value);
+  if (!lower(spec, &out->base, error)) {
+    return false;
   }
-  out->base = base;
 
   // Row-major cartesian expansion, first axis outermost — the same loop
   // nest order the hard-coded sweep drivers use.
@@ -1410,6 +1459,20 @@ bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* erro
   for (const SweepAxis& axis : spec.axes) {
     if (axis.size() == 0) {
       *error = spec.source_path + ": sweep axis '" + axis.param + "' has no values";
+      return false;
+    }
+    // parse_spec vets axes, but a hand-built Spec may not have gone
+    // through it.
+    const Field* field = axis.categorical() ? nullptr : find_axis(axis.param);
+    bool valid = axis.categorical() ||
+                 (field != nullptr &&
+                  (field->section != Section::kPhase || axis.phase < spec.pipeline.size()));
+    for (size_t i = 0; valid && field != nullptr && i < axis.values.size(); ++i) {
+      valid = value_error(*field, axis.values[i]).empty();
+    }
+    if (!valid) {
+      *error = spec.source_path + ": sweep axis '" + axis.param +
+               "' is not sweepable here or has an out-of-range value";
       return false;
     }
     if (cell_count > 100000 / axis.size()) {
@@ -1420,19 +1483,24 @@ bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* erro
   }
   std::vector<size_t> indices(spec.axes.size(), 0);
   for (size_t cell = 0; cell < cell_count; ++cell) {
+    // Each cell is the spec with its axis coordinates set, lowered the way
+    // the baseline is.
+    Spec cell_spec = spec;
     CompiledCell compiled;
-    compiled.config = base;
-    compiled.config.adversary = spec.pipeline;
     std::string label;
     for (size_t a = 0; a < spec.axes.size(); ++a) {
       const SweepAxis& axis = spec.axes[a];
-      apply_axis_value(spec, axis, indices[a], &compiled.config);
+      set_axis_value(spec, axis, indices[a], &cell_spec);
       compiled.values.push_back(axis.categorical() ? static_cast<double>(indices[a])
                                                    : axis.values[indices[a]]);
       compiled.names.push_back(format_axis_value(axis, indices[a]));
       label += (label.empty() ? "" : "_") + axis.label + compiled.names.back();
     }
     compiled.label = label.empty() ? "cell" : label;
+    if (!lower(cell_spec, &compiled.config, error)) {
+      return false;
+    }
+    compiled.config.adversary = cell_spec.pipeline;
     // Re-validate: an axis can move a phase window or pool into an invalid
     // shape that the static pipeline validation could not see.
     const std::string pipeline_error = adversary::validate_pipeline(

@@ -29,10 +29,9 @@ namespace lockss::campaign {
 // order, first axis outermost (row-major) — the grid order the hard-coded
 // sweep drivers use.
 struct SweepAxis {
-  // What the axis varies. Phase-level params ("attack_days",
-  // "recuperation_days", "coverage_percent", "start_days", "stop_days",
-  // "minion_count", "defection") apply to pipeline[phase]; the rest apply
-  // deployment- or protocol-wide (see axis_params() / docs/campaigns.md).
+  // What the axis varies (see axis_params() / docs/campaigns.md).
+  // Adversary-phase params apply to pipeline[phase]; the rest apply
+  // deployment- or protocol-wide.
   std::string param;
   size_t phase = 0;
   // Short prefix used in cell labels ("d" -> "d30"); defaults to the
@@ -82,8 +81,8 @@ struct Spec {
   double damage_mtbf_disk_years = 5.0;
   double damage_aus_per_disk = 50.0;
 
-  // Protocol overrides by name, applied in file order (see
-  // protocol_params() for the vocabulary).
+  // Protocol overrides by name, applied in order (see protocol_params()
+  // for the vocabulary); a sweep over a protocol param applies after them.
   std::vector<std::pair<std::string, double>> protocol_overrides;
 
   // Deployment dynamics: session churn, regional outages, Poisson arrivals
@@ -105,7 +104,7 @@ struct Spec {
   // Observability (`observability` section; docs/observability.md):
   // protocol event tracing (per-unit trace artifacts) and wall-clock
   // self-profiling (wall_ms/peak_rss_kb keys in the manifest). Defaults =
-  // both off = byte-identical manifests and goldens.
+  // both off.
   obs::TraceConfig obs_trace;
   bool obs_profile = false;
 
@@ -114,9 +113,9 @@ struct Spec {
 
   // Adaptive adversary policies (`adversary_policy` section;
   // docs/adversaries.md): deterministic trigger→action rules driving the
-  // pipeline. Defaults = disabled = the fixed-schedule adversary, with
-  // byte-identical manifests and goldens. In tournament mode the section
-  // may carry only the knobs (the rule tables come per strategy).
+  // pipeline. Defaults = disabled = the fixed-schedule adversary. In
+  // tournament mode the section may carry only the knobs (the rule tables
+  // come per strategy).
   adversary::AdversaryPolicyConfig adversary_policy;
 
   // Tournament mode (`tournament` section; docs/adversaries.md): named
@@ -182,32 +181,20 @@ struct CompiledCampaign {
 // diagnostic) on inconsistencies that only surface during expansion.
 bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* error);
 
-// The sweepable-axis and protocol-override vocabularies (documentation +
-// error messages + tests).
+// The sweepable-axis and protocol-override vocabularies, read off the
+// field table in spec.cpp (documentation + error messages + tests).
 std::vector<std::string> axis_params();
 std::vector<std::string> protocol_params();
 
-// Whether the campaign runs a dynamic deployment anywhere in its grid:
-// the base dynamics/operators sections, or any dynamics sweep axis (a
-// sweep can enable churn in cells the base spec leaves static). Gates the
-// dynamics keys/columns in the manifest and cells CSV.
-bool spec_is_dynamic(const Spec& spec);
-
-// Whether the campaign injects network faults anywhere in its grid: the
-// base `network_faults` section, or any fault sweep axis. Gates the fault
-// keys/columns in the manifest and cells CSV.
-bool spec_has_faults(const Spec& spec);
-
-// Whether the campaign records protocol event traces (per-unit .trace.bin
-// artifacts next to the manifest). Gates the trace keys in the manifest.
-bool spec_has_trace(const Spec& spec);
-
-// Whether the campaign engages adaptive adversary policies anywhere in its
-// grid: a base `adversary_policy` rule table, or a tournament (whose
-// strategy axes swap rule tables per cell). Gates the policy keys/columns
-// in the manifest and cells CSV, so policy-free campaigns render
-// byte-identically to the pre-policy engine.
-bool spec_has_policies(const Spec& spec);
+// Writes the spec in the campaign file's vocabulary: its section names, key
+// names and units, every section and every scalar field, defaults included
+// (the manifest's `spec` object). With `exact`, each scalar is written as
+// the value the spec stores instead — a SimTime as integer nanoseconds, a
+// percentage as its fraction — which is what the campaign hash covers
+// (cell_hash.hpp). Both are one traversal of the field table, so the hash
+// covers exactly what the manifest echoes. Cosmetic members (description,
+// output names, figure layout) are in neither.
+void write_spec_echo(const Spec& spec, bool exact, JsonWriter* out);
 
 }  // namespace lockss::campaign
 

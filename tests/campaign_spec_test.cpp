@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <optional>
+#include <regex>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "campaign/cell_hash.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/json.hpp"
 #include "campaign/spec.hpp"
@@ -155,7 +161,6 @@ TEST(CampaignSpecTest, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(spec.network.max_latency.to_seconds() * 1000.0, 40.0);
   EXPECT_TRUE(spec.faults_section);
   EXPECT_TRUE(spec.faults.enabled());
-  EXPECT_TRUE(spec_has_faults(spec));
   EXPECT_DOUBLE_EQ(spec.faults.loss_rate, 0.1);
   EXPECT_DOUBLE_EQ(spec.faults.dup_rate, 0.02);
   EXPECT_DOUBLE_EQ(spec.faults.jitter.to_seconds() * 1000.0, 25.0);
@@ -343,6 +348,26 @@ TEST(CampaignSpecTest, RejectionDiagnosticsCarryLineAndField) {
       {"{\n  \"name\": \"x\",\n  \"network_faults\": {},\n  \"sweep\": [\n"
        "    { \"param\": \"jitter_ms\", \"values\": [-2] }\n  ]\n}",
        "r.json:5", "non-negative"},
+      // --- one range per field, whichever path the value arrives by -----
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"quorum\": -3 }\n}", "r.json:3",
+       "protocol.quorum: must be a non-negative integer"},
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"quorum\": 2.7 }\n}", "r.json:3",
+       "protocol.quorum: must be a non-negative integer"},
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"quorum\": 4294967297 }\n}", "r.json:3",
+       "protocol.quorum: exceeds the 32-bit range"},
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"inter_poll_days\": 0 }\n}", "r.json:3",
+       "protocol.inter_poll_days: must be positive"},
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"inter_poll_days\": -1 }\n}", "r.json:3",
+       "protocol.inter_poll_days: must be positive"},
+      {"{\n  \"name\": \"x\",\n  \"sweep\": [\n    { \"param\": \"inter_poll_days\","
+       " \"values\": [0] }\n  ]\n}",
+       "r.json:4", "'inter_poll_days' must be positive"},
+      {"{\n  \"name\": \"x\",\n  \"protocol\": { \"unknown_drop_probability\": 1.5 }\n}",
+       "r.json:3", "protocol.unknown_drop_probability: must be within [0, 1]"},
+      {"{\n  \"name\": \"x\",\n  \"deployment\": { \"peers\": 1e30 }\n}", "r.json:3",
+       "deployment.peers: exceeds the 32-bit range"},
+      {"{\n  \"name\": \"x\",\n  \"deployment\": { \"seed\": 1e30 }\n}", "r.json:3",
+       "deployment.seed: too large to represent exactly"},
   };
   for (const Rejection& c : cases) {
     Json json;
@@ -490,7 +515,6 @@ TEST(CampaignSpecTest, ParsesTournamentSpecAndAppendsStrategyAxes) {
   std::string error;
   ASSERT_TRUE(parse_spec(parse_ok(kTournamentSpec), "duel.json", &spec, &error)) << error;
   EXPECT_TRUE(spec.tournament);
-  EXPECT_TRUE(spec_has_policies(spec));
   EXPECT_EQ(spec.payoff_name, "duel_matrix.csv");
   EXPECT_DOUBLE_EQ(spec.adversary_policy.reaction_latency.to_seconds(), 3.0 * 3600.0);
   EXPECT_DOUBLE_EQ(spec.adversary_policy.outage_threshold, 0.2);
@@ -568,7 +592,6 @@ TEST(CampaignSpecTest, SweepOnlyDynamicsCountAsDynamic) {
   std::string error;
   ASSERT_TRUE(parse_spec(json, "s.json", &spec, &error)) << error;
   EXPECT_FALSE(spec.churn.enabled());
-  EXPECT_TRUE(spec_is_dynamic(spec));
   CompiledCampaign compiled;
   ASSERT_TRUE(compile_campaign(spec, &compiled, &error)) << error;
   ASSERT_EQ(compiled.cells.size(), 4u);
@@ -580,8 +603,6 @@ TEST(CampaignSpecTest, SweepOnlyDynamicsCountAsDynamic) {
     "sweep": [ { "param": "peers", "values": [10, 20] } ] })");
   Spec static_spec;
   ASSERT_TRUE(parse_spec(static_json, "s.json", &static_spec, &error)) << error;
-  EXPECT_FALSE(spec_is_dynamic(static_spec));
-  EXPECT_FALSE(spec_has_faults(static_spec));
 }
 
 TEST(CampaignSpecTest, SweepOnlyFaultsCountAsFaulty) {
@@ -596,7 +617,6 @@ TEST(CampaignSpecTest, SweepOnlyFaultsCountAsFaulty) {
   ASSERT_TRUE(parse_spec(json, "f.json", &spec, &error)) << error;
   EXPECT_FALSE(spec.faults.enabled());
   EXPECT_TRUE(spec.faults_section);
-  EXPECT_TRUE(spec_has_faults(spec));
   CompiledCampaign compiled;
   ASSERT_TRUE(compile_campaign(spec, &compiled, &error)) << error;
   ASSERT_EQ(compiled.cells.size(), 2u);
@@ -629,6 +649,337 @@ TEST(CampaignSpecTest, FaultConfigFlowsIntoCompiledCells) {
     EXPECT_DOUBLE_EQ(cell.config.faults.dup_rate, 0.01);
     EXPECT_DOUBLE_EQ(cell.config.faults.jitter.to_seconds() * 1000.0, 40.0);
     EXPECT_DOUBLE_EQ(cell.config.network.max_latency.to_seconds() * 1000.0, 12.0);
+  }
+}
+
+// --- Each knob is described once ----------------------------------------
+// One field table drives the section readers, the sweep axes, the campaign
+// hash and the manifest's spec echo. These tests pin that: a value means
+// the same on either path into a spec, and every documented knob reaches
+// both the hash and the echo.
+
+// Every sweep axis is legal here: two phases, session churn and regions,
+// an operator policy, an adversary policy and a (zero) fault section.
+constexpr const char* kAllSections = R"({
+  "name": "all",
+  "deployment": { "peers": 12, "aus": 2, "duration_years": 0.3 },
+  "dynamics": { "leave_rate_per_peer_year": 1, "regions": 2 },
+  "operators": { "policies": [ { "trigger": "alarm", "action": "rate_tighten" } ] },
+  "network_faults": {},
+  "adversary": [ { "kind": "pipe_stoppage" }, { "kind": "brute_force" } ],
+  "adversary_policy": { "policies": [
+    { "trigger": "outage", "action": "switch_phase", "phase": 1 } ] }
+})";
+
+constexpr const char* kTournament = R"({
+  "name": "duel",
+  "adversary": [ { "kind": "pipe_stoppage" } ],
+  "tournament": { "adversary_strategies": [ { "name": "a" } ],
+                  "operator_strategies": [ { "name": "o" } ] }
+})";
+
+// The member at `path` (object keys, or decimal indices into arrays),
+// created when missing.
+Json* at_path(Json* node, const std::vector<std::string>& path) {
+  for (const std::string& step : path) {
+    if (node->is_array()) {
+      node = &node->array_items[std::stoul(step)];
+      continue;
+    }
+    Json* next = nullptr;
+    for (auto& [key, value] : node->object_members) {
+      next = key == step ? &value : next;
+    }
+    if (next == nullptr) {
+      node->type = Json::Type::kObject;
+      node->object_members.emplace_back(step, Json{});
+      next = &node->object_members.back().second;
+    }
+    node = next;
+  }
+  return node;
+}
+
+// parse_spec over `text` with `value` set at `path`; the diagnostic (empty
+// on success) lands in *error.
+bool parse_with(const std::string& text, const std::vector<std::string>& path,
+                const Json& value, Spec* spec, std::string* error) {
+  Json json = parse_ok(text);
+  if (!path.empty()) {
+    *at_path(&json, path) = value;
+  }
+  error->clear();
+  return parse_spec(json, "p.json", spec, error);
+}
+
+Json number_json(double v) {
+  Json json;
+  json.type = Json::Type::kNumber;
+  json.number_value = v;
+  return json;
+}
+
+struct AxisCase {
+  const char* axis;
+  std::vector<std::string> path;  // the same knob as a section member
+  double good;
+  std::optional<double> bad;      // none: every number is in range
+};
+
+const std::vector<AxisCase>& axis_cases() {
+  static const std::vector<AxisCase> cases = {
+      {"peers", {"deployment", "peers"}, 20, 0},
+      {"aus", {"deployment", "aus"}, 3, 0},
+      {"au_coverage", {"deployment", "au_coverage"}, 0.5, 1.5},
+      {"newcomers", {"deployment", "newcomers"}, 2, -1},
+      {"newcomer_window_days", {"deployment", "newcomer_window_days"}, 100, -1},
+      {"duration_years", {"deployment", "duration_years"}, 0.5, 0},
+      {"quorum", {"protocol", "quorum"}, 4, -3},
+      {"inner_circle_factor", {"protocol", "inner_circle_factor"}, 3, 2.5},
+      {"max_disagreeing", {"protocol", "max_disagreeing"}, 2, -1},
+      {"inter_poll_days", {"protocol", "inter_poll_days"}, 30, 0},
+      {"nominations_per_vote", {"protocol", "nominations_per_vote"}, 4, 4294967296.0},
+      {"outer_circle_size", {"protocol", "outer_circle_size"}, 5, -1},
+      {"introduction_fraction", {"protocol", "introduction_fraction"}, 0.25, 1.5},
+      {"reference_list_target", {"protocol", "reference_list_target"}, 20, 0.5},
+      {"friends_per_poll", {"protocol", "friends_per_poll"}, 1, -2},
+      {"friends_list_size", {"protocol", "friends_list_size"}, 3, -2},
+      {"unknown_drop_probability", {"protocol", "unknown_drop_probability"}, 0.5, 1.5},
+      {"debt_drop_probability", {"protocol", "debt_drop_probability"}, 0.5, -0.5},
+      {"refractory_days", {"protocol", "refractory_days"}, 2, -1},
+      {"consideration_rate_multiplier", {"protocol", "consideration_rate_multiplier"}, 2, -1},
+      {"grade_decay_months", {"protocol", "grade_decay_months"}, 3, -1},
+      {"introductory_effort_fraction", {"protocol", "introductory_effort_fraction"}, 0.3, 2},
+      {"frivolous_repair_probability", {"protocol", "frivolous_repair_probability"}, 0.1, 2},
+      {"adaptive_acceptance", {"protocol", "adaptive_acceptance"}, 1, std::nullopt},
+      {"adaptive_scale", {"protocol", "adaptive_scale"}, 2, -1},
+      {"churn_leave_rate", {"dynamics", "leave_rate_per_peer_year"}, 2, -1},
+      {"churn_crash_rate", {"dynamics", "crash_rate_per_peer_year"}, 0.5, -1},
+      {"churn_mean_downtime_days", {"dynamics", "mean_downtime_days"}, 3, 0},
+      {"churn_arrival_rate", {"dynamics", "arrival_rate_per_year"}, 4, -1},
+      {"regional_outage_rate", {"dynamics", "regional_outage_rate_per_year"}, 2, -1},
+      {"detection_latency_days", {"operators", "detection_latency_days"}, 3, -1},
+      {"loss_rate", {"network_faults", "loss_rate"}, 0.1, 1.5},
+      {"dup_rate", {"network_faults", "dup_rate"}, 0.1, -0.1},
+      {"jitter_ms", {"network_faults", "jitter_ms"}, 5, -1},
+      {"burst_outage_rate", {"network_faults", "burst_outage_rate"}, 0.1, 2},
+      {"attack_days", {"adversary", "0", "attack_days"}, 10, -1},
+      {"recuperation_days", {"adversary", "0", "recuperation_days"}, 10, -1},
+      {"coverage_percent", {"adversary", "0", "coverage_percent"}, 50, 150},
+      {"start_days", {"adversary", "0", "start_days"}, 10, -1},
+      {"stop_days", {"adversary", "0", "stop_days"}, 100, -1},
+      {"minion_count", {"adversary", "1", "minion_count"}, 8, -1},
+  };
+  return cases;
+}
+
+// The sweep path: `axis` over the single value `v` (on the case's phase).
+Json sweep_json(const AxisCase& c, double v) {
+  const std::string phase = c.path.size() == 3 ? c.path[1] : "0";
+  char value[64];
+  std::snprintf(value, sizeof(value), "%.17g", v);
+  return parse_ok(std::string("[ { \"param\": \"") + c.axis + "\", \"phase\": " + phase +
+                  ", \"values\": [" + value + "] } ]");
+}
+
+TEST(CampaignDescribedOnceTest, EverySweepAxisHasAParityCase) {
+  std::set<std::string> covered;
+  for (const AxisCase& c : axis_cases()) {
+    covered.insert(c.axis);
+  }
+  for (const std::string& param : axis_params()) {
+    if (param != "defection") {  // categorical, no section counterpart
+      EXPECT_TRUE(covered.contains(param)) << param << " has no parity case";
+    }
+  }
+  EXPECT_EQ(covered.size() + 1, axis_params().size());
+}
+
+TEST(CampaignDescribedOnceTest, SectionAndSweepRejectAndAcceptAlike) {
+  for (const AxisCase& c : axis_cases()) {
+    Spec spec;
+    std::string error;
+    // Acceptance parity: the in-range value parses both ways.
+    if (!c.path.empty()) {
+      EXPECT_TRUE(parse_with(kAllSections, c.path, number_json(c.good), &spec, &error))
+          << c.axis << ": " << error;
+    }
+    EXPECT_TRUE(parse_with(kAllSections, {"sweep"}, sweep_json(c, c.good), &spec, &error))
+        << c.axis << ": " << error;
+    if (!c.bad.has_value()) {
+      continue;
+    }
+    // Rejection parity: the out-of-range value fails both ways, for the
+    // same reason.
+    ASSERT_FALSE(parse_with(kAllSections, c.path, number_json(*c.bad), &spec, &error))
+        << c.axis;
+    const std::string reason = error.substr(error.rfind(": ") + 2);
+    EXPECT_FALSE(reason.empty()) << error;
+    EXPECT_FALSE(parse_with(kAllSections, {"sweep"}, sweep_json(c, *c.bad), &spec, &error))
+        << c.axis;
+    EXPECT_TRUE(error.ends_with("'" + std::string(c.axis) + "' " + reason))
+        << c.axis << ": section says '" << reason << "', sweep says '" << error << "'";
+  }
+}
+
+// The campaign file's keys with a number or bool value in docs/campaigns.md's
+// jsonc examples (the schema, the adversary phase, the one-point campaign).
+std::set<std::string> documented_scalar_keys() {
+  std::ifstream in(std::string(LOCKSS_SOURCE_DIR) + "/docs/campaigns.md");
+  EXPECT_TRUE(in.is_open());
+  const std::regex scalar(R"re("([a-z_]+)"\s*:\s*(-?[0-9][0-9.]*|true|false)\b)re");
+  std::set<std::string> keys;
+  bool in_block = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("```", 0) == 0) {
+      in_block = line == "```jsonc";
+      continue;
+    }
+    if (!in_block) {
+      continue;
+    }
+    line = line.substr(0, line.find("//"));
+    for (std::sregex_iterator it(line.begin(), line.end(), scalar), end; it != end; ++it) {
+      keys.insert((*it)[1]);
+    }
+  }
+  return keys;
+}
+
+bool same_json(const Json& a, const Json& b) {
+  if (a.type != b.type || a.bool_value != b.bool_value || a.number_value != b.number_value ||
+      a.string_value != b.string_value || a.array_items.size() != b.array_items.size() ||
+      a.object_members.size() != b.object_members.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.array_items.size(); ++i) {
+    if (!same_json(a.array_items[i], b.array_items[i])) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.object_members.size(); ++i) {
+    if (a.object_members[i].first != b.object_members[i].first ||
+        !same_json(a.object_members[i].second, b.object_members[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The `spec` object of the manifest a run of `spec` would write.
+Json manifest_echo(const Spec& spec) {
+  CompiledCampaign compiled;
+  std::string error;
+  EXPECT_TRUE(compile_campaign(spec, &compiled, &error)) << error;
+  CampaignOutcome outcome;
+  outcome.cells.resize(compiled.cells.size());
+  const Json manifest = parse_ok(render_manifest(compiled, outcome));
+  const Json* echo = manifest.find("spec");
+  return echo != nullptr ? *echo : Json{};
+}
+
+TEST(CampaignDescribedOnceTest, EveryDocumentedKnobReachesHashAndManifest) {
+  struct Knob {
+    std::vector<std::string> path;
+    const char* value;  // JSON text, off the default
+    bool tournament = false;
+  };
+  const Knob knobs[] = {
+      {{"deployment", "peers"}, "20"},
+      {{"deployment", "aus"}, "3"},
+      {{"deployment", "au_coverage"}, "0.5"},
+      {{"deployment", "newcomers"}, "2"},
+      {{"deployment", "newcomer_window_days"}, "100"},
+      {{"deployment", "duration_years"}, "0.5"},
+      {{"deployment", "seed"}, "7"},
+      {{"deployment", "seeds"}, "2"},
+      {{"deployment", "layers"}, "1"},
+      {{"damage", "enabled"}, "false"},
+      {{"damage", "mean_disk_years_between_failures"}, "3"},
+      {{"damage", "aus_per_disk"}, "10"},
+      {{"protocol", "quorum"}, "4"},
+      {{"protocol", "inner_circle_factor"}, "3"},
+      {{"protocol", "max_disagreeing"}, "2"},
+      {{"protocol", "inter_poll_days"}, "30"},
+      {{"protocol", "nominations_per_vote"}, "4"},
+      {{"protocol", "outer_circle_size"}, "5"},
+      {{"protocol", "introduction_fraction"}, "0.25"},
+      {{"protocol", "reference_list_target"}, "20"},
+      {{"protocol", "friends_per_poll"}, "1"},
+      {{"protocol", "friends_list_size"}, "3"},
+      {{"protocol", "unknown_drop_probability"}, "0.5"},
+      {{"protocol", "debt_drop_probability"}, "0.5"},
+      {{"protocol", "refractory_days"}, "2"},
+      {{"protocol", "consideration_rate_multiplier"}, "2"},
+      {{"protocol", "grade_decay_months"}, "3"},
+      {{"protocol", "introductory_effort_fraction"}, "0.3"},
+      {{"protocol", "frivolous_repair_probability"}, "0.1"},
+      {{"protocol", "adaptive_acceptance"}, "true"},
+      {{"protocol", "adaptive_scale"}, "2"},
+      {{"dynamics", "leave_rate_per_peer_year"}, "2"},
+      {{"dynamics", "crash_rate_per_peer_year"}, "0.5"},
+      {{"dynamics", "mean_downtime_days"}, "3"},
+      {{"dynamics", "arrival_rate_per_year"}, "4"},
+      {{"dynamics", "regions"}, "3"},
+      {{"dynamics", "regional_outage_rate_per_year"}, "2"},
+      {{"dynamics", "regional_outage_days"}, "5"},
+      {{"dynamics", "regional_recovery_stagger_hours"}, "2"},
+      {{"dynamics", "regional_state_loss"}, "true"},
+      {{"network", "min_latency_ms"}, "2"},
+      {{"network", "max_latency_ms"}, "40"},
+      {{"network_faults", "loss_rate"}, "0.1"},
+      {{"network_faults", "dup_rate"}, "0.1"},
+      {{"network_faults", "jitter_ms"}, "5"},
+      {{"network_faults", "burst_outage_rate"}, "0.1"},
+      {{"network_faults", "burst_cycle_days"}, "2"},
+      {{"operators", "detection_latency_days"}, "3"},
+      {{"operators", "recrawl_cost_factor"}, "3"},
+      {{"operators", "policies", "0", "factor"}, "0.25"},
+      {{"observability", "trace"}, "true"},
+      {{"observability", "profile"}, "true"},
+      {{"observability", "sample_rate"}, "0.5"},
+      {{"observability", "ring_capacity"}, "100"},
+      {{"trace_days"}, "7"},
+      {{"baseline"}, "false"},
+      {{"adversary", "0", "attack_days"}, "10"},
+      {{"adversary", "0", "recuperation_days"}, "10"},
+      {{"adversary", "0", "coverage_percent"}, "50"},
+      {{"adversary", "0", "start_days"}, "10"},
+      {{"adversary", "0", "stop_days"}, "100"},
+      {{"adversary", "1", "minion_count"}, "8"},
+      {{"adversary", "1", "minion_id_base"}, "100000"},
+      {{"adversary_policy", "reaction_latency_hours"}, "3"},
+      {{"adversary_policy", "sensor_interval_days"}, "2"},
+      {{"adversary_policy", "cooldown_days"}, "3"},
+      {{"adversary_policy", "outage_threshold"}, "0.2"},
+      {{"adversary_policy", "backoff_threshold"}, "0.25"},
+      {{"adversary_policy", "collapse_threshold"}, "0.1"},
+      {{"adversary_policy", "dormant_mean_days"}, "3"},
+      {{"adversary_policy", "throttle_pause_days"}, "2"},
+      {{"adversary_policy", "policies", "0", "phase"}, "0"},
+      {{"adversary_policy", "policies", "0", "factor"}, "0.25"},
+      {{"tournament", "operator_strategies", "0", "detection_latency_days"}, "3", true},
+      {{"tournament", "operator_strategies", "0", "recrawl_cost_factor"}, "3", true},
+  };
+  std::set<std::string> covered;
+  for (const Knob& knob : knobs) {
+    const std::string text = knob.tournament ? kTournament : kAllSections;
+    Spec base;
+    Spec changed;
+    std::string error;
+    ASSERT_TRUE(parse_with(text, {}, Json{}, &base, &error)) << error;
+    ASSERT_TRUE(parse_with(text, knob.path, parse_ok(knob.value), &changed, &error))
+        << knob.path.back() << ": " << error;
+    EXPECT_NE(campaign_hash(base), campaign_hash(changed)) << knob.path.back();
+    EXPECT_FALSE(same_json(manifest_echo(base), manifest_echo(changed))) << knob.path.back();
+    covered.insert(knob.path.back());
+  }
+  for (const std::string& key : documented_scalar_keys()) {
+    EXPECT_TRUE(covered.contains(key)) << "documented key '" << key << "' is not covered";
+  }
+  for (const std::string& param : protocol_params()) {
+    EXPECT_TRUE(covered.contains(param)) << "protocol param '" << param << "' is not covered";
   }
 }
 
@@ -861,6 +1212,29 @@ TEST(CampaignCompileTest, ExpandsRowMajorGridAndAppliesAxes) {
   EXPECT_EQ(compiled.cells[2].config.adversary[1].defection, adversary::DefectionPoint::kIntro);
   // Non-swept phase fields survive expansion.
   EXPECT_DOUBLE_EQ(compiled.cells[3].config.adversary[0].stop.to_days(), 120.0);
+}
+
+// A Spec built in code skips parse_spec; compilation still refuses values
+// the field table would reject instead of casting them.
+TEST(CampaignCompileTest, HandBuiltSpecsGetTheSameRangeChecks) {
+  CompiledCampaign compiled;
+  std::string error;
+  Spec overridden;
+  overridden.protocol_overrides.emplace_back("quorum", -3.0);
+  EXPECT_FALSE(compile_campaign(overridden, &compiled, &error));
+  EXPECT_NE(error.find("'quorum'"), std::string::npos) << error;
+
+  Spec swept;
+  SweepAxis axis;
+  axis.param = "peers";
+  axis.label = "p";
+  axis.values = {10, -1};
+  swept.axes.push_back(axis);
+  EXPECT_FALSE(compile_campaign(swept, &compiled, &error));
+  EXPECT_NE(error.find("'peers'"), std::string::npos) << error;
+  swept.axes[0].values = {10, 20};
+  EXPECT_TRUE(compile_campaign(swept, &compiled, &error)) << error;
+  EXPECT_EQ(compiled.cells[1].config.peer_count, 20u);
 }
 
 TEST(CampaignCompileTest, NoAxesYieldsSingleCell) {
